@@ -1,9 +1,10 @@
 // bench_sketch — the sketch plane's cost/accuracy card: ingest throughput
 // for the raw conservative-update count-min and for the full
-// HotnessTracker::Record path (4 salted marginals + count-sketch + top-k
-// heap), then a differential accuracy pass against exact counts on a zipf
-// stream — overshoot vs the epsilon*N contract, top-k recall vs the true
-// heavy hitters — and the counter-storage footprint. Emits
+// HotnessTracker::Record path (2 salted count-min updates, tenant and
+// graph, + one top-k heap offer), then a differential accuracy pass
+// against exact counts on a zipf stream — overshoot vs the epsilon*N
+// contract, top-k recall vs the true heavy hitters — and the
+// counter-storage footprint. Emits
 // BENCH_sketch.json; exits non-zero if any accuracy gate fails, so a
 // regressed hash mix or a broken conservative update can't land as a
 // "perf-only" change.

@@ -9,17 +9,12 @@
 //   slfe_cli --app=sssp --dataset=PK --nodes=8 --rr
 //   slfe_cli --app=sssp --engine=gas --dataset=PK --rr
 //   slfe_cli --app=pr --engine=ooc --file=edges.txt --iters=100
-//   slfe_cli --app=sssp --dataset=PK --rr --store-dir=/var/cache/slfe \
-//            --store-max-entries=128 --store-ttl=86400
-//   slfe_cli --serve --jobs=batch.txt --workers=4 --store-dir=/var/cache/slfe
+//   slfe_cli --app=sssp --rr --store-dir=/var/cache/slfe --store-ttl=86400
 //   slfe_cli --list-apps
 //   slfe_cli --list
 //
-// --serve switches from one-shot mode into the multi-tenant JobService
-// daemon: jobs stream in over the line protocol (stdin or --jobs=FILE),
-// share one guidance provider, and the maintenance loop sweeps the store.
-// slfe_server is the same daemon with the full knob set (per-tenant
-// budgets etc.); --serve is the quickstart spelling.
+// Each invocation runs one job and exits; the multi-tenant job daemon is
+// slfe_server.
 //
 // Exits non-zero with a usage message on bad arguments.
 
@@ -35,8 +30,6 @@
 #include "slfe/core/guidance_store.h"
 #include "slfe/graph/generators.h"
 #include "slfe/graph/loader.h"
-#include "slfe/service/job_service.h"
-#include "slfe/service/line_driver.h"
 
 namespace {
 
@@ -53,20 +46,13 @@ struct CliOptions {
   slfe::VertexId root = 0;
   uint32_t scale_divisor = 4;
   // Guidance subsystem knobs (only consulted with --rr): persistent store
-  // directory + its GC policy, and the generation strategy.
+  // directory + its GC policy, and the generation worker count.
   std::string store_dir;
   uint64_t store_max_entries = 0;
   uint64_t store_max_bytes = 0;
   double store_ttl = 0;
   std::string arena_dir;
-  std::string gen_strategy = "auto";
   uint32_t gen_threads = 0;
-  size_t mini_chunk = 0;
-  // Daemon mode (--serve): line-protocol job service.
-  bool serve = false;
-  std::string jobs_file;  // empty = stdin
-  uint32_t workers = 2;
-  double maintenance_interval = 0;
 };
 
 void PrintUsage() {
@@ -97,19 +83,9 @@ void PrintUsage() {
       "                         than SECS (swept when the store opens)\n"
       "  --arena-dir=PATH map the dataset's saved *.sga graph arena when\n"
       "                   present (skipping the synthesis + parse), and\n"
-      "                   write one back after a cold load (warm restarts;\n"
-      "                   also honored by --serve)\n"
-      "  --gen-strategy=S guidance generation: auto|serial|uniform|\n"
-      "                   partitioned (default auto)\n"
-      "  --gen-threads=N  guidance generation workers (default: cores)\n"
-      "  --mini-chunk=N   work-stealing granularity of the partitioned\n"
-      "                   sweep (default 256; tune per host)\n"
-      "  --serve          run as the multi-tenant job daemon (line\n"
-      "                   protocol on stdin or --jobs=FILE)\n"
-      "  --jobs=FILE      job protocol input for --serve\n"
-      "  --workers=N      --serve: job worker threads (default 2)\n"
-      "  --maintenance-interval=SECS\n"
-      "                   --serve: sweep the store every SECS\n"
+      "                   write one back after a cold load (warm restarts)\n"
+      "  --gen-threads=N  guidance generation workers (default: cores;\n"
+      "                   1 = serial sweep, more = partitioned sweep)\n"
       "  --list-apps      print the application registry and exit\n"
       "  --list           print the dataset suite and exit\n",
       registry.UsageList().c_str(), slfe::api::AllEngineNames().c_str());
@@ -122,22 +98,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
-}
-
-bool ParseStrategy(const std::string& name,
-                   slfe::GuidanceGenerationStrategy* out) {
-  if (name == "auto") {
-    *out = slfe::GuidanceGenerationStrategy::kAuto;
-  } else if (name == "serial") {
-    *out = slfe::GuidanceGenerationStrategy::kSerial;
-  } else if (name == "uniform") {
-    *out = slfe::GuidanceGenerationStrategy::kUniformParallel;
-  } else if (name == "partitioned") {
-    *out = slfe::GuidanceGenerationStrategy::kPartitionedParallel;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -174,20 +134,8 @@ int main(int argc, char** argv) {
       opt.store_ttl = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "--arena-dir", &value)) {
       opt.arena_dir = value;
-    } else if (ParseFlag(argv[i], "--gen-strategy", &value)) {
-      opt.gen_strategy = value;
     } else if (ParseFlag(argv[i], "--gen-threads", &value)) {
       opt.gen_threads = static_cast<uint32_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(argv[i], "--mini-chunk", &value)) {
-      opt.mini_chunk = static_cast<size_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(argv[i], "--jobs", &value)) {
-      opt.jobs_file = value;
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      opt.workers = static_cast<uint32_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(argv[i], "--maintenance-interval", &value)) {
-      opt.maintenance_interval = std::atof(value.c_str());
-    } else if (std::strcmp(argv[i], "--serve") == 0) {
-      opt.serve = true;
     } else if (std::strcmp(argv[i], "--rr") == 0) {
       opt.rr = true;
     } else if (std::strcmp(argv[i], "--no-stealing") == 0) {
@@ -213,58 +161,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (opt.serve) {
-    // Daemon mode: one JobService, jobs streamed over the line protocol.
-    // The guidance knobs configure the service's SHARED provider, which
-    // is what turns N concurrent jobs on one graph into one generation.
-    if (opt.store_dir.empty() &&
-        (opt.store_max_entries > 0 || opt.store_max_bytes > 0 ||
-         opt.store_ttl > 0 || opt.maintenance_interval > 0)) {
-      // Same rule as the one-shot path: silently ignoring a GC budget or
-      // sweep cadence would let the user believe the store is bounded
-      // when there is no store at all.
-      std::fprintf(stderr,
-                   "--store-max-entries/--store-max-bytes/--store-ttl/"
-                   "--maintenance-interval require --store-dir\n");
-      PrintUsage();
-      return 2;
-    }
-    slfe::service::JobServiceOptions sopt;
-    sopt.workers = opt.workers;
-    sopt.job_nodes = opt.nodes;
-    sopt.job_threads = opt.threads;
-    sopt.provider.store_dir = opt.store_dir;
-    sopt.provider.store_gc.max_entries = opt.store_max_entries;
-    sopt.provider.store_gc.max_bytes = opt.store_max_bytes;
-    sopt.provider.store_gc.ttl_seconds = opt.store_ttl;
-    sopt.provider.generation_threads = opt.gen_threads;
-    sopt.provider.generation_mini_chunk = opt.mini_chunk;
-    if (!ParseStrategy(opt.gen_strategy, &sopt.provider.generation_strategy)) {
-      std::fprintf(stderr, "unknown --gen-strategy: %s\n",
-                   opt.gen_strategy.c_str());
-      return 2;
-    }
-    sopt.maintenance_interval_seconds = opt.maintenance_interval;
-    sopt.arena_dir = opt.arena_dir;
-    std::FILE* in = stdin;
-    if (!opt.jobs_file.empty()) {
-      in = std::fopen(opt.jobs_file.c_str(), "r");
-      if (in == nullptr) {
-        std::fprintf(stderr, "cannot open --jobs file: %s\n",
-                     opt.jobs_file.c_str());
-        return 2;
-      }
-    }
-    slfe::service::JobService service(sopt);
-    slfe::service::LineDriverOptions dopt;
-    dopt.scale_divisor = opt.scale_divisor;
-    int rc = slfe::service::RunLineDriver(service, in, stdout, dopt);
-    if (in != stdin) std::fclose(in);
-    return rc;
-  }
-
-  // One-shot mode. Load or synthesize the graph; the session (not the
-  // CLI) derives the undirected closure when the app requires one.
+  // Load or synthesize the graph; the session (not the CLI) derives the
+  // undirected closure when the app requires one.
   slfe::api::SessionOptions sopt;
   sopt.num_nodes = opt.nodes;
   sopt.threads_per_node = opt.threads;
@@ -284,14 +182,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   sopt.provider.generation_threads = opt.gen_threads;
-  sopt.provider.generation_mini_chunk = opt.mini_chunk;
   sopt.arena_dir = opt.arena_dir;
-  if (!ParseStrategy(opt.gen_strategy, &sopt.provider.generation_strategy)) {
-    std::fprintf(stderr, "unknown --gen-strategy: %s\n",
-                 opt.gen_strategy.c_str());
-    PrintUsage();
-    return 2;
-  }
 
   slfe::api::Session session(sopt);
 
@@ -380,12 +271,12 @@ int main(int argc, char** argv) {
     slfe::GuidanceCacheStats cs = session.provider().cache_stats();
     std::printf(
         "guidance store: saves=%llu loads=%llu store_hits=%llu "
-        "gc_removed=%llu (dir=%s, strategy=%s)\n",
+        "gc_removed=%llu (dir=%s)\n",
         static_cast<unsigned long long>(ss.saves),
         static_cast<unsigned long long>(ss.loads),
         static_cast<unsigned long long>(cs.store_hits),
         static_cast<unsigned long long>(ss.gc_removed),
-        session.provider().store()->dir().c_str(), opt.gen_strategy.c_str());
+        session.provider().store()->dir().c_str());
   }
   return 0;
 }

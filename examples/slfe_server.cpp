@@ -3,8 +3,9 @@
 // the guidance store, its GC budgets (global and per tenant), and the
 // maintenance sweep cadence configured from the shell.
 //
-//   slfe_server --jobs=batch.txt --workers=4 --store-dir=/var/cache/slfe \
-//               --maintenance-interval=30 --tenant-budget=acme:1048576:8
+//   slfe_server --jobs=batch.txt --workers=4 --store-dir=/var/cache/slfe
+//   slfe_server --store-dir=/var/cache/slfe --maintenance-interval=30
+//   slfe_server --store-dir=/var/cache/slfe --tenant-budget=acme:1048576:8
 //   printf 'submit t1 sssp PK 0\nwait\nstats\n' | slfe_server
 //   slfe_server --smoke        # CI: self-contained amortization check
 //
@@ -49,7 +50,6 @@ struct ServerOptions {
   double store_ttl = 0;
   double maintenance_interval = 0;
   uint32_t gen_threads = 0;
-  size_t mini_chunk = 0;
   // Observability (obs/): slow-job capture threshold, periodic Prometheus
   // export, and the flight-recorder ring size. 0 slow-job-ms = off.
   double slow_job_ms = 0;
@@ -111,7 +111,8 @@ void PrintUsage() {
       "  --maintenance-interval=SECS\n"
       "                       sweep the store every SECS from the "
       "maintenance loop\n"
-      "  --gen-threads=N      guidance generation workers\n"
+      "  --gen-threads=N      guidance generation workers (1 = serial "
+      "sweep)\n"
       "  --slow-job-ms=N      capture + WARN jobs slower than N ms "
       "end-to-end\n"
       "  --metrics-dump=PATH  write the Prometheus text exposition to PATH "
@@ -137,8 +138,6 @@ void PrintUsage() {
       "aggregates into\n"
       "                       one sketched row (default 256, 0 = "
       "unlimited)\n"
-      "  --mini-chunk=N       work-stealing mini-chunk size for the "
-      "partitioned sweep\n"
       "  --listen[=PORT]      serve the job protocol over TCP instead of "
       "stdin (0 or no\n"
       "                       value = ephemeral port, announced on stdout "
@@ -194,7 +193,6 @@ slfe::service::JobServiceOptions ServiceOptions(const ServerOptions& opt) {
   sopt.provider.store_gc.max_bytes = opt.store_max_bytes;
   sopt.provider.store_gc.ttl_seconds = opt.store_ttl;
   sopt.provider.generation_threads = opt.gen_threads;
-  sopt.provider.generation_mini_chunk = opt.mini_chunk;
   sopt.tenant_budgets = opt.tenant_budgets;
   sopt.maintenance_interval_seconds = opt.maintenance_interval;
   sopt.arena_dir = opt.arena_dir;
@@ -345,8 +343,6 @@ int main(int argc, char** argv) {
       opt.maintenance_interval = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "--gen-threads", &value)) {
       opt.gen_threads = static_cast<uint32_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(argv[i], "--mini-chunk", &value)) {
-      opt.mini_chunk = static_cast<size_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "--slow-job-ms", &value)) {
       opt.slow_job_ms = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "--metrics-dump", &value)) {

@@ -23,9 +23,9 @@ class WorkStealingScheduler {
   /// `enable_stealing=false` degrades to a static partition — used by the
   /// Fig. 10a ablation ("w/o Stealing" bar). `mini_chunk` is the stealing
   /// granularity in items (0 = the paper's 256): smaller chunks balance
-  /// skewed bands at the price of more fetch-adds per item, so the
-  /// crossover is hardware-dependent — the ROADMAP multicore-tuning item
-  /// this knob exists for.
+  /// skewed bands at the price of more fetch-adds per item. Every
+  /// production scheduler uses the default; tests shrink it to put chunk
+  /// boundaries inside small ranges.
   explicit WorkStealingScheduler(bool enable_stealing = true,
                                  size_t mini_chunk = kMiniChunk)
       : enable_stealing_(enable_stealing),

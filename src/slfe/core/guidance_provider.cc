@@ -302,10 +302,11 @@ std::shared_ptr<const RRGuidance> GuidanceProvider::GenerateNow(
   // which would otherwise fight over the workers.)
   std::lock_guard<std::mutex> lock(pool_mu_);
   Timer generation_timer;
-  auto guidance =
-      std::make_shared<const RRGuidance>(RRGuidance::GenerateWithStrategy(
-          graph, roots, options_.generation_strategy, GenerationPool(),
-          options_.generation_mini_chunk));
+  // Partitioned with a pool, serial without. AcquireInternal has already
+  // rejected empty root sets, so Generate's empty-roots warning never
+  // fires on this path.
+  auto guidance = std::make_shared<const RRGuidance>(
+      RRGuidance::Generate(graph, roots, GenerationPool()));
   if (generation_hist_ != nullptr) {
     generation_hist_->Observe(generation_timer.Seconds());
   }

@@ -95,19 +95,10 @@ struct GuidanceRepairOptions {
 struct GuidanceProviderOptions {
   /// Maximum cached (graph, roots) entries.
   size_t cache_capacity = 32;
-  /// Workers for parallel generation; 0 = hardware concurrency. A value of
-  /// 1 forces the serial reference sweep.
+  /// Workers for guidance generation; 0 = hardware concurrency. More than
+  /// one worker runs RRGuidance::GeneratePartitioned; exactly 1 runs the
+  /// serial reference sweep. Both produce bit-identical guidance.
   size_t generation_threads = 0;
-  /// Which sweep implementation misses are generated with. kAuto =
-  /// partitioned-parallel when generation_threads > 1, serial otherwise;
-  /// kUniformParallel keeps the pre-partitioning slicing (ablations). All
-  /// strategies produce bit-identical guidance.
-  GuidanceGenerationStrategy generation_strategy =
-      GuidanceGenerationStrategy::kAuto;
-  /// Work-stealing granularity (vertices per mini-chunk) for the
-  /// partitioned sweep's push phase. 0 = the paper's 256; tune per host —
-  /// the ROADMAP multicore-crossover knob, exposed as --mini-chunk.
-  size_t generation_mini_chunk = 0;
   /// Non-empty = persist cache entries as fingerprint-keyed files in this
   /// directory (typically next to the ooc shard files), so the §4.4
   /// amortization survives process restarts. Empty = in-memory only.

@@ -548,7 +548,6 @@ JobServiceStats JobService::Stats() const {
   snapshot.pid = static_cast<int>(::getpid());
   snapshot.version = BuildVersionString();
   snapshot.sketch_observations = tracker_.Observations();
-  snapshot.sketch_decays = tracker_.Decays();
   snapshot.tenants_tracked = snapshot.tenants.size();
   return snapshot;
 }
@@ -560,9 +559,8 @@ std::string JobService::RenderHot(size_t k) const {
   {
     char head[96];
     std::snprintf(head, sizeof(head),
-                  "hot: k=%zu observations=%llu decays=%llu\n", k,
-                  static_cast<unsigned long long>(tracker_.Observations()),
-                  static_cast<unsigned long long>(tracker_.Decays()));
+                  "hot: k=%zu observations=%llu\n", k,
+                  static_cast<unsigned long long>(tracker_.Observations()));
     out += head;
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -624,9 +622,6 @@ void JobService::CollectMetrics() {
       recorder_.recorded());
   set("slfe_sketch_observations_total",
       "Requests streamed through the demand sketch", s.sketch_observations);
-  set("slfe_sketch_decays_total",
-      "Exponential-decay halvings applied to the demand sketch",
-      s.sketch_decays);
   set("slfe_guidance_admission_skips_total",
       "Guidance store writes skipped for cold graphs", s.cache.admission_skips);
   set("slfe_guidance_admission_promotions_total",

@@ -8,8 +8,8 @@
 
 namespace slfe::service {
 
-/// Configuration for the line-protocol front end shared by the
-/// `slfe_server` daemon and `slfe_cli --serve`.
+/// Configuration for the stdin line-protocol front end of the
+/// `slfe_server` daemon.
 struct LineDriverOptions {
   /// Shrink divisor for dataset aliases registered lazily on first use.
   uint32_t scale_divisor = 4;

@@ -307,10 +307,9 @@ std::string FormatStats(const JobServiceStats& stats) {
           static_cast<unsigned long long>(stats.cache.admission_skips),
           static_cast<unsigned long long>(stats.cache.admission_promotions));
   Appendf(&out,
-          "sketch: observations=%llu decays=%llu tenants_tracked=%llu "
+          "sketch: observations=%llu tenants_tracked=%llu "
           "tenants_sketched=%llu\n",
           static_cast<unsigned long long>(stats.sketch_observations),
-          static_cast<unsigned long long>(stats.sketch_decays),
           static_cast<unsigned long long>(stats.tenants_tracked),
           static_cast<unsigned long long>(stats.tenants_sketched));
   for (const auto& [tenant, t] : stats.tenants) {

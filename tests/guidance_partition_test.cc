@@ -1,14 +1,17 @@
-// Randomized differential harness for the guidance generation strategies:
-// on seeded random graphs across shapes (chains, stars, RMAT, disconnected
-// unions), the serial reference, the uniform-parallel sweep, and the
-// DistGraph-range partitioned sweep must produce bit-identical guidance —
-// every last_iter, every visited flag, and the depth — for every worker
-// count, every forced direction policy, and every root-selection flavor.
-// This is the lockdown that lets the provider treat the strategy as a pure
-// performance choice (GuidanceProviderOptions::generation_strategy).
+// Differential harness for guidance generation: on seeded random graphs
+// across shapes (chains, stars, RMAT, disconnected unions) and on fixed
+// shapes (chain, star, grid, islands, a directed ring), the serial
+// reference and the DistGraph-range partitioned sweep must produce
+// bit-identical guidance — every last_iter, every visited flag, every
+// level, and the depth — for every worker count, every forced direction
+// policy, and every root-selection flavor. The same holds through the
+// Generate dispatcher and through the provider at 1 and 4 generation
+// threads. This is the lockdown that lets the provider pick the sweep from
+// GuidanceProviderOptions::generation_threads alone.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -99,24 +102,35 @@ void ExpectBitIdentical(const RRGuidance& want, const RRGuidance& got,
   }
 }
 
-/// The differential core: serial == uniform-parallel == partitioned for
-/// every worker count and both forced directions plus the adaptive
-/// default.
-void CheckAllStrategies(const Graph& g, const std::vector<VertexId>& roots,
+/// Guidance a fresh provider hands out for `roots` when it generates with
+/// `threads` workers (1 = serial sweep, more = partitioned sweep).
+std::shared_ptr<const RRGuidance> ProviderGuidance(
+    const Graph& g, const std::vector<VertexId>& roots, size_t threads) {
+  GuidanceProviderOptions opt;
+  opt.generation_threads = threads;
+  GuidanceProvider provider(opt);
+  GuidanceAcquisition a = provider.AcquireForRoots(g, roots);
+  EXPECT_TRUE(a) << "threads=" << threads;
+  EXPECT_EQ(provider.stats().generations, 1u) << "threads=" << threads;
+  return a.guidance;
+}
+
+/// The differential core: serial == partitioned for every worker count
+/// and both forced directions plus the adaptive default, then the same
+/// through the Generate dispatcher and the provider.
+void CheckAgainstSerial(const Graph& g, const std::vector<VertexId>& roots,
                         const std::string& label) {
-  if (roots.empty()) return;
   RRGuidance serial = RRGuidance::GenerateSerial(g, roots);
-  for (size_t workers : {2u, 3u, 5u}) {
+  for (size_t workers : {2u, 3u, 4u, 5u}) {
     ThreadPool pool(workers);
+    // Fraction 0 forces pull every iteration; a huge fraction forces
+    // push — both must match the reference independently of the
+    // heuristic.
     for (double fraction : {0.05, 0.0, 1e18}) {
-      std::string tag = label + " workers=" + std::to_string(workers) +
-                        " fraction=" + std::to_string(fraction);
-      ExpectBitIdentical(
-          serial, RRGuidance::GenerateParallel(g, roots, pool, fraction),
-          tag + " uniform");
       ExpectBitIdentical(
           serial, RRGuidance::GeneratePartitioned(g, roots, pool, fraction),
-          tag + " partitioned");
+          label + " workers=" + std::to_string(workers) +
+              " fraction=" + std::to_string(fraction));
     }
   }
   // Degenerate pool: one worker owns the whole vertex range.
@@ -124,28 +138,19 @@ void CheckAllStrategies(const Graph& g, const std::vector<VertexId>& roots,
   ExpectBitIdentical(serial,
                      RRGuidance::GeneratePartitioned(g, roots, single),
                      label + " partitioned single worker");
-  // The strategy dispatcher used by the provider.
   ThreadPool pool(4);
-  ExpectBitIdentical(
-      serial,
-      RRGuidance::GenerateWithStrategy(
-          g, roots, GuidanceGenerationStrategy::kUniformParallel, &pool),
-      label + " dispatch uniform");
-  ExpectBitIdentical(
-      serial,
-      RRGuidance::GenerateWithStrategy(
-          g, roots, GuidanceGenerationStrategy::kPartitionedParallel, &pool),
-      label + " dispatch partitioned");
-  ExpectBitIdentical(serial,
-                     RRGuidance::GenerateWithStrategy(
-                         g, roots, GuidanceGenerationStrategy::kAuto, &pool),
-                     label + " dispatch auto");
-  ExpectBitIdentical(
-      serial,
-      RRGuidance::GenerateWithStrategy(
-          g, roots, GuidanceGenerationStrategy::kPartitionedParallel,
-          nullptr),
-      label + " dispatch null pool");
+  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, &pool),
+                     label + " dispatch pool");
+  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, nullptr),
+                     label + " dispatch null pool");
+  if (roots.empty()) return;  // the provider refuses empty root sets
+  for (size_t threads : {1u, 4u}) {
+    std::shared_ptr<const RRGuidance> got =
+        ProviderGuidance(g, roots, threads);
+    ASSERT_NE(got, nullptr) << label;
+    ExpectBitIdentical(serial, *got,
+                       label + " provider threads=" + std::to_string(threads));
+  }
 }
 
 class GuidancePartitionTest : public ::testing::TestWithParam<HarnessParam> {
@@ -154,10 +159,10 @@ class GuidancePartitionTest : public ::testing::TestWithParam<HarnessParam> {
 TEST_P(GuidancePartitionTest, AllStrategiesBitIdentical) {
   Graph g = MakeShapeGraph(GetParam());
   uint64_t seed = GetParam().seed;
-  CheckAllStrategies(g, {0}, "single root");
-  CheckAllStrategies(g, RandomRoots(g, seed, 5), "random roots");
-  CheckAllStrategies(g, SelectSourceRoots(g), "source roots");
-  CheckAllStrategies(g, SelectLocalMinimaRoots(g), "local minima roots");
+  CheckAgainstSerial(g, {0}, "single root");
+  CheckAgainstSerial(g, RandomRoots(g, seed, 5), "random roots");
+  CheckAgainstSerial(g, SelectSourceRoots(g), "source roots");
+  CheckAgainstSerial(g, SelectLocalMinimaRoots(g), "local minima roots");
 }
 
 TEST_P(GuidancePartitionTest, PartitionRangesMatchDistGraph) {
@@ -177,31 +182,17 @@ TEST_P(GuidancePartitionTest, PartitionRangesMatchDistGraph) {
 }
 
 TEST_P(GuidancePartitionTest, ProviderStrategiesAgree) {
-  // End to end through the provider: three providers configured with the
-  // three explicit strategies hand out byte-equal guidance for the same
-  // request.
+  // End to end through the provider: a serial (1-thread) and a
+  // partitioned (4-thread) provider hand out bit-identical guidance for
+  // the same request.
   Graph g = MakeShapeGraph(GetParam());
   std::vector<VertexId> roots = SelectSourceRoots(g);
   if (roots.empty()) return;
-
-  auto acquire = [&](GuidanceGenerationStrategy strategy) {
-    GuidanceProviderOptions opt;
-    opt.generation_threads = 3;
-    opt.generation_strategy = strategy;
-    GuidanceProvider provider(opt);
-    GuidanceAcquisition a = provider.AcquireForRoots(g, roots);
-    EXPECT_TRUE(a) << GuidanceGenerationStrategyName(strategy);
-    EXPECT_EQ(provider.stats().generations, 1u);
-    return a.guidance;
-  };
-  auto serial = acquire(GuidanceGenerationStrategy::kSerial);
-  auto uniform = acquire(GuidanceGenerationStrategy::kUniformParallel);
-  auto partitioned =
-      acquire(GuidanceGenerationStrategy::kPartitionedParallel);
+  std::shared_ptr<const RRGuidance> serial = ProviderGuidance(g, roots, 1);
+  std::shared_ptr<const RRGuidance> partitioned =
+      ProviderGuidance(g, roots, 4);
   ASSERT_NE(serial, nullptr);
-  ASSERT_NE(uniform, nullptr);
   ASSERT_NE(partitioned, nullptr);
-  ExpectBitIdentical(*serial, *uniform, "provider uniform");
   ExpectBitIdentical(*serial, *partitioned, "provider partitioned");
 }
 
@@ -228,7 +219,7 @@ TEST(GuidancePartitionEdgeCases, MoreWorkersThanVertices) {
 }
 
 TEST(GuidancePartitionEdgeCases, BookkeepingIsAccounted) {
-  // The fused-merge claim, observable: both parallel strategies report a
+  // The fused-merge claim, observable: the partitioned sweep reports a
   // bookkeeping share, and it never exceeds total generation time.
   RmatOptions opt;
   opt.num_vertices = 2048;
@@ -238,12 +229,87 @@ TEST(GuidancePartitionEdgeCases, BookkeepingIsAccounted) {
   ThreadPool pool(4);
   RRGuidance serial = RRGuidance::GenerateSerial(g, {0});
   EXPECT_EQ(serial.bookkeeping_seconds(), 0.0);
-  for (const RRGuidance& rrg :
-       {RRGuidance::GenerateParallel(g, {0}, pool),
-        RRGuidance::GeneratePartitioned(g, {0}, pool)}) {
-    EXPECT_GT(rrg.bookkeeping_seconds(), 0.0);
-    EXPECT_LE(rrg.bookkeeping_seconds(), rrg.generation_seconds());
-  }
+  RRGuidance rrg = RRGuidance::GeneratePartitioned(g, {0}, pool);
+  EXPECT_GT(rrg.bookkeeping_seconds(), 0.0);
+  EXPECT_LE(rrg.bookkeeping_seconds(), rrg.generation_seconds());
+}
+
+// ------------------------------------------------------ fixed shapes
+
+TEST(GuidancePartitionFixedShapes, Chain) {
+  Graph g = Graph::FromEdges(GenerateChain(64));
+  CheckAgainstSerial(g, {0}, "chain");
+  CheckAgainstSerial(g, {10, 40}, "chain multi-root");
+}
+
+TEST(GuidancePartitionFixedShapes, Star) {
+  Graph g = Graph::FromEdges(GenerateStar(32));
+  CheckAgainstSerial(g, {0}, "star hub");
+  CheckAgainstSerial(g, {5}, "star spoke");
+}
+
+TEST(GuidancePartitionFixedShapes, RandomRmat) {
+  RmatOptions opt;
+  opt.num_vertices = 512;
+  opt.num_edges = 3000;
+  Graph g = Graph::FromEdges(GenerateRmat(opt));
+  CheckAgainstSerial(g, {0}, "rmat single root");
+  CheckAgainstSerial(g, {0, 17, 99, 300}, "rmat multi root");
+  CheckAgainstSerial(g, SelectSourceRoots(g), "rmat source roots");
+}
+
+TEST(GuidancePartitionFixedShapes, CycleBound) {
+  // Directed ring: no zero-in-degree vertex, maximal propagation depth.
+  EdgeList e(48);
+  for (VertexId v = 0; v < 48; ++v) e.Add(v, (v + 1) % 48);
+  Graph g = Graph::FromEdges(e);
+  CheckAgainstSerial(g, {0}, "cycle");
+  CheckAgainstSerial(g, SelectSourceRoots(g), "cycle fallback root");
+}
+
+TEST(GuidancePartitionFixedShapes, Grid) {
+  Graph g = Graph::FromEdges(GenerateGrid(12, 13));
+  CheckAgainstSerial(g, {0}, "grid");
+}
+
+TEST(GuidancePartitionFixedShapes, DisconnectedIslands) {
+  EdgeList e(10);
+  e.Add(0, 1);
+  e.Add(1, 2);
+  e.Add(5, 6);  // island unreachable from 0
+  e.Add(6, 7);
+  Graph g = Graph::FromEdges(e);
+  CheckAgainstSerial(g, {0}, "islands from 0");
+  CheckAgainstSerial(g, {0, 5}, "islands both");
+}
+
+TEST(GuidancePartitionFixedShapes, EmptyRoots) {
+  Graph g = Graph::FromEdges(GenerateChain(8));
+  CheckAgainstSerial(g, {}, "empty roots");
+}
+
+TEST(GuidancePartitionFixedShapes, DuplicateRootsDedup) {
+  Graph g = Graph::FromEdges(GenerateChain(16));
+  CheckAgainstSerial(g, {3, 3, 3, 0, 0}, "duplicate roots");
+}
+
+TEST(GuidancePartitionFixedShapes, SingleWorkerPoolFallsBackToSerial) {
+  Graph g = Graph::FromEdges(GenerateChain(16));
+  ThreadPool pool(1);
+  // The dispatcher routes 1-worker pools to the serial reference.
+  ExpectBitIdentical(RRGuidance::GenerateSerial(g, {0}),
+                     RRGuidance::Generate(g, {0}, &pool), "single worker");
+}
+
+TEST(GuidancePartitionFixedShapes, GenerateAllRootsWithPoolMatchesSerial) {
+  RmatOptions opt;
+  opt.num_vertices = 256;
+  opt.num_edges = 1400;
+  opt.seed = 11;
+  Graph g = Graph::FromEdges(GenerateRmat(opt));
+  ThreadPool pool(4);
+  ExpectBitIdentical(RRGuidance::GenerateAllRoots(g),
+                     RRGuidance::GenerateAllRoots(g, &pool), "all roots");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -242,7 +242,7 @@ TEST(FormatStatsTest, SketchLineAndTailRowRenderOnlyWhenPresent) {
   stats.sketch_observations = 17;
   stats.tenants_tracked = 2;
   std::string block = FormatStats(stats);
-  EXPECT_NE(block.find("sketch: observations=17 decays=0 tenants_tracked=2 "
+  EXPECT_NE(block.find("sketch: observations=17 tenants_tracked=2 "
                        "tenants_sketched=0\n"),
             std::string::npos)
       << block;

@@ -174,39 +174,39 @@ INSTANTIATE_TEST_SUITE_P(
     ParamName);
 
 // ---------------------------------------------------------------------------
-// Guidance strategy cross: every guidance-using app, run guided vs
-// unguided, across (engine shape x generation strategy) on the same seeded
-// random topologies. Min/max apps must agree exactly; arithmetic apps
+// Guidance generation cross: every guidance-using app, run guided vs
+// unguided, across (engine shape x generation threads) on the same seeded
+// random topologies. One generation thread runs the serial sweep, four run
+// the partitioned sweep. Min/max apps must agree exactly; arithmetic apps
 // within the tolerances their finish-early freezing is specified to keep
-// (the same bars apps_equivalence_test holds the defaults to). Because all
-// three strategies produce bit-identical guidance, any strategy-dependent
-// result difference here is an engine-integration bug, not a sweep bug.
+// (the same bars apps_equivalence_test holds the defaults to). Because both
+// sweeps produce bit-identical guidance, any thread-count-dependent result
+// difference here is an engine-integration bug, not a sweep bug.
 // ---------------------------------------------------------------------------
 
-/// (topology seed) x (generation strategy): the engine shapes are crossed
+/// (topology seed) x (generation threads): the engine shapes are crossed
 /// inside the test body, one cluster size per app class.
 struct CrossParam {
   SweepParam topology;
-  GuidanceGenerationStrategy strategy;
+  size_t generation_threads;
 };
 
 std::string CrossParamName(
     const ::testing::TestParamInfo<CrossParam>& info) {
   ::testing::TestParamInfo<SweepParam> inner(info.param.topology, 0);
-  return ParamName(inner) + "_" +
-         GuidanceGenerationStrategyName(info.param.strategy);
+  return ParamName(inner) + "_threads" +
+         std::to_string(info.param.generation_threads);
 }
 
 class GuidanceStrategyCrossTest
     : public ::testing::TestWithParam<CrossParam> {
  protected:
-  /// A private provider pinned to the strategy under test, so the run
-  /// cannot hit guidance generated by another strategy (or another test)
+  /// A private provider pinned to the thread count under test, so the run
+  /// cannot hit guidance generated by another sweep (or another test)
   /// through the global provider.
   AppConfig GuidedConfig(int num_nodes) {
     GuidanceProviderOptions opt;
-    opt.generation_threads = 3;
-    opt.generation_strategy = GetParam().strategy;
+    opt.generation_threads = GetParam().generation_threads;
     provider_ = std::make_unique<GuidanceProvider>(opt);
     AppConfig cfg;
     cfg.num_nodes = num_nodes;
@@ -327,11 +327,8 @@ std::vector<CrossParam> CrossParams() {
   for (SweepParam topology :
        {SweepParam{Family::kRmat, 1}, SweepParam{Family::kRmat, 2},
         SweepParam{Family::kErdosRenyi, 1}, SweepParam{Family::kGrid, 1}}) {
-    for (GuidanceGenerationStrategy strategy :
-         {GuidanceGenerationStrategy::kSerial,
-          GuidanceGenerationStrategy::kUniformParallel,
-          GuidanceGenerationStrategy::kPartitionedParallel}) {
-      params.push_back(CrossParam{topology, strategy});
+    for (size_t threads : {1u, 4u}) {
+      params.push_back(CrossParam{topology, threads});
     }
   }
   return params;
