@@ -1,12 +1,15 @@
-// Equivalence tests for the frontier-parallel guidance generator: on every
-// graph family (chain, star, random, cycle-bound, grid, islands) and for
-// every worker count / direction policy, GenerateParallel must produce
-// exactly the serial reference's last_iter / visited / depth.
+// Equivalence tests for parallel guidance generation on fixed graph
+// families (chain, star, random, cycle-bound, grid, islands): for every
+// worker count and direction policy, the partitioned sweep, the Generate
+// dispatcher and the provider must produce exactly the serial reference's
+// last_iter / visited / level / depth. The randomized counterpart lives in
+// guidance_partition_test.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "guidance_check.h"
 #include "slfe/common/thread_pool.h"
 #include "slfe/core/roots.h"
 #include "slfe/core/rr_guidance.h"
@@ -15,50 +18,16 @@
 namespace slfe {
 namespace {
 
-void ExpectSameGuidance(const RRGuidance& want, const RRGuidance& got,
-                        const char* label) {
-  ASSERT_EQ(want.num_vertices(), got.num_vertices()) << label;
-  EXPECT_EQ(want.depth(), got.depth()) << label;
-  for (VertexId v = 0; v < want.num_vertices(); ++v) {
-    ASSERT_EQ(want.last_iter(v), got.last_iter(v))
-        << label << " last_iter mismatch at v=" << v;
-    ASSERT_EQ(want.visited(v), got.visited(v))
-        << label << " visited mismatch at v=" << v;
-  }
-}
-
-/// Checks serial == parallel for 2..4 workers and for both forced
-/// directions (always-dense, always-sparse) plus the adaptive default.
-void CheckParallelEquivalence(const Graph& g,
-                              const std::vector<VertexId>& roots,
-                              const char* label) {
-  RRGuidance serial = RRGuidance::GenerateSerial(g, roots);
-  for (size_t workers : {2u, 3u, 4u}) {
-    ThreadPool pool(workers);
-    ExpectSameGuidance(serial, RRGuidance::GenerateParallel(g, roots, pool),
-                       label);
-    // dense_fraction 0 forces pull every iteration; a huge fraction forces
-    // push — both must match the reference independently of the heuristic.
-    ExpectSameGuidance(
-        serial, RRGuidance::GenerateParallel(g, roots, pool, 0.0), label);
-    ExpectSameGuidance(
-        serial, RRGuidance::GenerateParallel(g, roots, pool, 1e18), label);
-  }
-  // The Generate dispatcher with a pool takes the parallel path.
-  ThreadPool pool(4);
-  ExpectSameGuidance(serial, RRGuidance::Generate(g, roots, &pool), label);
-}
-
 TEST(GuidanceParallelTest, Chain) {
   Graph g = Graph::FromEdges(GenerateChain(64));
-  CheckParallelEquivalence(g, {0}, "chain");
-  CheckParallelEquivalence(g, {10, 40}, "chain multi-root");
+  CheckAgainstSerial(g, {0}, "chain");
+  CheckAgainstSerial(g, {10, 40}, "chain multi-root");
 }
 
 TEST(GuidanceParallelTest, Star) {
   Graph g = Graph::FromEdges(GenerateStar(32));
-  CheckParallelEquivalence(g, {0}, "star hub");
-  CheckParallelEquivalence(g, {5}, "star spoke");
+  CheckAgainstSerial(g, {0}, "star hub");
+  CheckAgainstSerial(g, {5}, "star spoke");
 }
 
 TEST(GuidanceParallelTest, RandomRmat) {
@@ -66,9 +35,9 @@ TEST(GuidanceParallelTest, RandomRmat) {
   opt.num_vertices = 512;
   opt.num_edges = 3000;
   Graph g = Graph::FromEdges(GenerateRmat(opt));
-  CheckParallelEquivalence(g, {0}, "rmat single root");
-  CheckParallelEquivalence(g, {0, 17, 99, 300}, "rmat multi root");
-  CheckParallelEquivalence(g, SelectSourceRoots(g), "rmat source roots");
+  CheckAgainstSerial(g, {0}, "rmat single root");
+  CheckAgainstSerial(g, {0, 17, 99, 300}, "rmat multi root");
+  CheckAgainstSerial(g, SelectSourceRoots(g), "rmat source roots");
 }
 
 TEST(GuidanceParallelTest, CycleBound) {
@@ -76,13 +45,13 @@ TEST(GuidanceParallelTest, CycleBound) {
   EdgeList e(48);
   for (VertexId v = 0; v < 48; ++v) e.Add(v, (v + 1) % 48);
   Graph g = Graph::FromEdges(e);
-  CheckParallelEquivalence(g, {0}, "cycle");
-  CheckParallelEquivalence(g, SelectSourceRoots(g), "cycle fallback root");
+  CheckAgainstSerial(g, {0}, "cycle");
+  CheckAgainstSerial(g, SelectSourceRoots(g), "cycle fallback root");
 }
 
 TEST(GuidanceParallelTest, Grid) {
   Graph g = Graph::FromEdges(GenerateGrid(12, 13));
-  CheckParallelEquivalence(g, {0}, "grid");
+  CheckAgainstSerial(g, {0}, "grid");
 }
 
 TEST(GuidanceParallelTest, DisconnectedIslands) {
@@ -92,32 +61,31 @@ TEST(GuidanceParallelTest, DisconnectedIslands) {
   e.Add(5, 6);  // island unreachable from 0
   e.Add(6, 7);
   Graph g = Graph::FromEdges(e);
-  CheckParallelEquivalence(g, {0}, "islands from 0");
-  CheckParallelEquivalence(g, {0, 5}, "islands both");
+  CheckAgainstSerial(g, {0}, "islands from 0");
+  CheckAgainstSerial(g, {0, 5}, "islands both");
 }
 
 TEST(GuidanceParallelTest, EmptyRootsAndEmptyGraph) {
   Graph g = Graph::FromEdges(GenerateChain(8));
-  CheckParallelEquivalence(g, {}, "empty roots");
+  CheckAgainstSerial(g, {}, "empty roots");
   Graph empty;
   ThreadPool pool(2);
-  RRGuidance rrg = RRGuidance::GenerateParallel(empty, {}, pool);
+  RRGuidance rrg = RRGuidance::GeneratePartitioned(empty, {}, pool);
   EXPECT_EQ(rrg.num_vertices(), 0u);
   EXPECT_EQ(rrg.depth(), 0u);
 }
 
 TEST(GuidanceParallelTest, DuplicateRootsDedup) {
   Graph g = Graph::FromEdges(GenerateChain(16));
-  CheckParallelEquivalence(g, {3, 3, 3, 0, 0}, "duplicate roots");
+  CheckAgainstSerial(g, {3, 3, 3, 0, 0}, "duplicate roots");
 }
 
 TEST(GuidanceParallelTest, SingleWorkerPoolFallsBackToSerial) {
   Graph g = Graph::FromEdges(GenerateChain(16));
   ThreadPool pool(1);
   // The dispatcher routes 1-worker pools to the serial reference.
-  RRGuidance via_dispatch = RRGuidance::Generate(g, {0}, &pool);
-  ExpectSameGuidance(RRGuidance::GenerateSerial(g, {0}), via_dispatch,
-                     "single worker");
+  ExpectBitIdentical(RRGuidance::GenerateSerial(g, {0}),
+                     RRGuidance::Generate(g, {0}, &pool), "single worker");
 }
 
 TEST(GuidanceParallelTest, GenerateAllRootsParallelMatchesSerial) {
@@ -127,7 +95,7 @@ TEST(GuidanceParallelTest, GenerateAllRootsParallelMatchesSerial) {
   opt.seed = 11;
   Graph g = Graph::FromEdges(GenerateRmat(opt));
   ThreadPool pool(4);
-  ExpectSameGuidance(RRGuidance::GenerateAllRoots(g),
+  ExpectBitIdentical(RRGuidance::GenerateAllRoots(g),
                      RRGuidance::GenerateAllRoots(g, &pool), "all roots");
 }
 

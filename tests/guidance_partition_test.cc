@@ -1,13 +1,13 @@
-// Differential harness for guidance generation: on seeded random graphs
-// across shapes (chains, stars, RMAT, disconnected unions) and on fixed
-// shapes (chain, star, grid, islands, a directed ring), the serial
-// reference and the DistGraph-range partitioned sweep must produce
-// bit-identical guidance — every last_iter, every visited flag, every
-// level, and the depth — for every worker count, every forced direction
-// policy, and every root-selection flavor. The same holds through the
-// Generate dispatcher and through the provider at 1 and 4 generation
-// threads. This is the lockdown that lets the provider pick the sweep from
-// GuidanceProviderOptions::generation_threads alone.
+// Randomized differential harness for guidance generation: on seeded
+// random graphs across shapes (chains, stars, RMAT, disconnected unions),
+// the serial reference and the DistGraph-range partitioned sweep must
+// produce bit-identical guidance — every last_iter, every visited flag,
+// every level, and the depth — for every worker count, every forced
+// direction policy, and every root-selection flavor. The same holds
+// through the Generate dispatcher and through the provider at 1 and 4
+// generation threads. This is the lockdown that lets the provider pick the
+// sweep from GuidanceProviderOptions::generation_threads alone. The fixed
+// graph families live in guidance_parallel_test.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "guidance_check.h"
 #include "slfe/common/thread_pool.h"
 #include "slfe/core/guidance_provider.h"
 #include "slfe/core/roots.h"
@@ -84,73 +85,6 @@ std::vector<VertexId> RandomRoots(const Graph& g, uint64_t seed,
   roots.reserve(count);
   for (size_t i = 0; i < count; ++i) roots.push_back(pick(rng));
   return roots;
-}
-
-void ExpectBitIdentical(const RRGuidance& want, const RRGuidance& got,
-                        const std::string& label) {
-  ASSERT_EQ(want.num_vertices(), got.num_vertices()) << label;
-  ASSERT_EQ(want.depth(), got.depth()) << label;
-  ASSERT_TRUE(want.has_levels()) << label;
-  ASSERT_TRUE(got.has_levels()) << label;
-  for (VertexId v = 0; v < want.num_vertices(); ++v) {
-    ASSERT_EQ(want.last_iter(v), got.last_iter(v))
-        << label << " last_iter mismatch at v=" << v;
-    ASSERT_EQ(want.visited(v), got.visited(v))
-        << label << " visited mismatch at v=" << v;
-    ASSERT_EQ(want.level(v), got.level(v))
-        << label << " level mismatch at v=" << v;
-  }
-}
-
-/// Guidance a fresh provider hands out for `roots` when it generates with
-/// `threads` workers (1 = serial sweep, more = partitioned sweep).
-std::shared_ptr<const RRGuidance> ProviderGuidance(
-    const Graph& g, const std::vector<VertexId>& roots, size_t threads) {
-  GuidanceProviderOptions opt;
-  opt.generation_threads = threads;
-  GuidanceProvider provider(opt);
-  GuidanceAcquisition a = provider.AcquireForRoots(g, roots);
-  EXPECT_TRUE(a) << "threads=" << threads;
-  EXPECT_EQ(provider.stats().generations, 1u) << "threads=" << threads;
-  return a.guidance;
-}
-
-/// The differential core: serial == partitioned for every worker count
-/// and both forced directions plus the adaptive default, then the same
-/// through the Generate dispatcher and the provider.
-void CheckAgainstSerial(const Graph& g, const std::vector<VertexId>& roots,
-                        const std::string& label) {
-  RRGuidance serial = RRGuidance::GenerateSerial(g, roots);
-  for (size_t workers : {2u, 3u, 4u, 5u}) {
-    ThreadPool pool(workers);
-    // Fraction 0 forces pull every iteration; a huge fraction forces
-    // push — both must match the reference independently of the
-    // heuristic.
-    for (double fraction : {0.05, 0.0, 1e18}) {
-      ExpectBitIdentical(
-          serial, RRGuidance::GeneratePartitioned(g, roots, pool, fraction),
-          label + " workers=" + std::to_string(workers) +
-              " fraction=" + std::to_string(fraction));
-    }
-  }
-  // Degenerate pool: one worker owns the whole vertex range.
-  ThreadPool single(1);
-  ExpectBitIdentical(serial,
-                     RRGuidance::GeneratePartitioned(g, roots, single),
-                     label + " partitioned single worker");
-  ThreadPool pool(4);
-  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, &pool),
-                     label + " dispatch pool");
-  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, nullptr),
-                     label + " dispatch null pool");
-  if (roots.empty()) return;  // the provider refuses empty root sets
-  for (size_t threads : {1u, 4u}) {
-    std::shared_ptr<const RRGuidance> got =
-        ProviderGuidance(g, roots, threads);
-    ASSERT_NE(got, nullptr) << label;
-    ExpectBitIdentical(serial, *got,
-                       label + " provider threads=" + std::to_string(threads));
-  }
 }
 
 class GuidancePartitionTest : public ::testing::TestWithParam<HarnessParam> {
@@ -232,84 +166,6 @@ TEST(GuidancePartitionEdgeCases, BookkeepingIsAccounted) {
   RRGuidance rrg = RRGuidance::GeneratePartitioned(g, {0}, pool);
   EXPECT_GT(rrg.bookkeeping_seconds(), 0.0);
   EXPECT_LE(rrg.bookkeeping_seconds(), rrg.generation_seconds());
-}
-
-// ------------------------------------------------------ fixed shapes
-
-TEST(GuidancePartitionFixedShapes, Chain) {
-  Graph g = Graph::FromEdges(GenerateChain(64));
-  CheckAgainstSerial(g, {0}, "chain");
-  CheckAgainstSerial(g, {10, 40}, "chain multi-root");
-}
-
-TEST(GuidancePartitionFixedShapes, Star) {
-  Graph g = Graph::FromEdges(GenerateStar(32));
-  CheckAgainstSerial(g, {0}, "star hub");
-  CheckAgainstSerial(g, {5}, "star spoke");
-}
-
-TEST(GuidancePartitionFixedShapes, RandomRmat) {
-  RmatOptions opt;
-  opt.num_vertices = 512;
-  opt.num_edges = 3000;
-  Graph g = Graph::FromEdges(GenerateRmat(opt));
-  CheckAgainstSerial(g, {0}, "rmat single root");
-  CheckAgainstSerial(g, {0, 17, 99, 300}, "rmat multi root");
-  CheckAgainstSerial(g, SelectSourceRoots(g), "rmat source roots");
-}
-
-TEST(GuidancePartitionFixedShapes, CycleBound) {
-  // Directed ring: no zero-in-degree vertex, maximal propagation depth.
-  EdgeList e(48);
-  for (VertexId v = 0; v < 48; ++v) e.Add(v, (v + 1) % 48);
-  Graph g = Graph::FromEdges(e);
-  CheckAgainstSerial(g, {0}, "cycle");
-  CheckAgainstSerial(g, SelectSourceRoots(g), "cycle fallback root");
-}
-
-TEST(GuidancePartitionFixedShapes, Grid) {
-  Graph g = Graph::FromEdges(GenerateGrid(12, 13));
-  CheckAgainstSerial(g, {0}, "grid");
-}
-
-TEST(GuidancePartitionFixedShapes, DisconnectedIslands) {
-  EdgeList e(10);
-  e.Add(0, 1);
-  e.Add(1, 2);
-  e.Add(5, 6);  // island unreachable from 0
-  e.Add(6, 7);
-  Graph g = Graph::FromEdges(e);
-  CheckAgainstSerial(g, {0}, "islands from 0");
-  CheckAgainstSerial(g, {0, 5}, "islands both");
-}
-
-TEST(GuidancePartitionFixedShapes, EmptyRoots) {
-  Graph g = Graph::FromEdges(GenerateChain(8));
-  CheckAgainstSerial(g, {}, "empty roots");
-}
-
-TEST(GuidancePartitionFixedShapes, DuplicateRootsDedup) {
-  Graph g = Graph::FromEdges(GenerateChain(16));
-  CheckAgainstSerial(g, {3, 3, 3, 0, 0}, "duplicate roots");
-}
-
-TEST(GuidancePartitionFixedShapes, SingleWorkerPoolFallsBackToSerial) {
-  Graph g = Graph::FromEdges(GenerateChain(16));
-  ThreadPool pool(1);
-  // The dispatcher routes 1-worker pools to the serial reference.
-  ExpectBitIdentical(RRGuidance::GenerateSerial(g, {0}),
-                     RRGuidance::Generate(g, {0}, &pool), "single worker");
-}
-
-TEST(GuidancePartitionFixedShapes, GenerateAllRootsWithPoolMatchesSerial) {
-  RmatOptions opt;
-  opt.num_vertices = 256;
-  opt.num_edges = 1400;
-  opt.seed = 11;
-  Graph g = Graph::FromEdges(GenerateRmat(opt));
-  ThreadPool pool(4);
-  ExpectBitIdentical(RRGuidance::GenerateAllRoots(g),
-                     RRGuidance::GenerateAllRoots(g, &pool), "all roots");
 }
 
 INSTANTIATE_TEST_SUITE_P(
