@@ -43,7 +43,7 @@ EngineStats SsspWithVariant(const Graph& g, RRVariant variant) {
   };
   auto apply = [&dist](VertexId dst, float acc) {
     if (acc < dist[dst]) {
-      dist[dst] = acc;
+      AtomicStore(&dist[dst], acc);  // other ranks gather it concurrently
       return true;
     }
     return false;

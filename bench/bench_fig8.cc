@@ -244,7 +244,7 @@ bool ServiceSection(bool smoke) {
   double miss_cost = 0, hit_cost = 0;
   uint64_t hits = 0, misses = 0;
   for (const auto& ticket : tickets) {
-    const service::JobResult& r = ticket->Wait();
+    service::JobResult r = ticket->Wait();
     all_ok = all_ok && r.status.ok();
     if (!r.guidance_acquired) continue;
     if (r.guidance_cache_hit || r.guidance_coalesced) {

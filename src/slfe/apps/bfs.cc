@@ -32,7 +32,7 @@ BfsResult RunBfs(const Graph& graph, const AppConfig& config) {
   };
   auto apply = [&levels](VertexId dst, uint32_t acc) {
     if (acc < levels[dst]) {
-      levels[dst] = acc;
+      AtomicStore(&levels[dst], acc);  // other ranks gather it concurrently
       return true;
     }
     return false;

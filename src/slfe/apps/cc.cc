@@ -1,7 +1,6 @@
 #include "slfe/apps/cc.h"
 
 #include <numeric>
-#include <set>
 
 #include "slfe/api/engine_adapters.h"
 #include "slfe/core/rr_runners.h"
@@ -34,7 +33,7 @@ CcResult RunCc(const Graph& graph, const AppConfig& config) {
   };
   auto apply = [&labels](VertexId dst, uint32_t acc) {
     if (acc < labels[dst]) {
-      labels[dst] = acc;
+      AtomicStore(&labels[dst], acc);  // other ranks gather it concurrently
       return true;
     }
     return false;
@@ -65,9 +64,12 @@ api::AppOutcome CcOutcome(AppRunInfo info,
   api::AppOutcome out;
   out.info = info;
   out.values = api::ToValues(labels);
-  std::set<uint32_t> components(labels.begin(), labels.end());
-  out.summary = components.size();
-  out.summary_text = "components=" + std::to_string(components.size());
+  // Min-label propagation converges with every component labelled by its
+  // smallest vertex, so each component has exactly one self-labelled vertex.
+  uint64_t components = 0;
+  for (VertexId v = 0; v < labels.size(); ++v) components += labels[v] == v;
+  out.summary = components;
+  out.summary_text = "components=" + std::to_string(components);
   return out;
 }
 

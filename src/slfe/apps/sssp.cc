@@ -32,7 +32,9 @@ SsspResult RunSssp(const Graph& graph, const AppConfig& config) {
   };
   auto apply = [&dist](VertexId dst, float acc) {
     if (acc < dist[dst]) {
-      dist[dst] = acc;  // dst is rank-local; no atomics needed in pull
+      // Only dst's owner writes it in pull, but other ranks' gathers read
+      // it concurrently.
+      AtomicStore(&dist[dst], acc);
       return true;
     }
     return false;

@@ -33,7 +33,7 @@ WpResult RunWp(const Graph& graph, const AppConfig& config) {
   };
   auto apply = [&width](VertexId dst, float acc) {
     if (acc > width[dst]) {
-      width[dst] = acc;
+      AtomicStore(&width[dst], acc);  // other ranks gather it concurrently
       return true;
     }
     return false;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "slfe/common/logging.h"
@@ -86,12 +87,36 @@ class Bitmap {
   /// Invokes fn(i) for every set bit i, in ascending order.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
-    for (size_t wi = 0; wi < words_.size(); ++wi) {
-      uint64_t w = words_[wi].v.load(std::memory_order_relaxed);
+    ForEachSetBit(0, size_, std::forward<Fn>(fn));
+  }
+
+  /// Invokes fn(i) for every set bit i in [begin, end), in ascending order.
+  template <typename Fn>
+  void ForEachSetBit(size_t begin, size_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    SLFE_CHECK_LE(end, size_);
+    for (size_t wi = begin / 64; wi <= (end - 1) / 64; ++wi) {
+      uint64_t w = words_[wi].v.load(std::memory_order_relaxed) &
+                   RangeMask(wi, begin, end);
       while (w != 0) {
         int b = __builtin_ctzll(w);
         fn(wi * 64 + static_cast<size_t>(b));
         w &= w - 1;
+      }
+    }
+  }
+
+  /// Clears bits [begin, end). Words shared with bits outside the range are
+  /// cleared atomically, so disjoint ranges may be cleared concurrently.
+  void Clear(size_t begin, size_t end) {
+    if (begin >= end) return;
+    SLFE_CHECK_LE(end, size_);
+    for (size_t wi = begin / 64; wi <= (end - 1) / 64; ++wi) {
+      uint64_t mask = RangeMask(wi, begin, end);
+      if (mask == ~uint64_t{0}) {
+        words_[wi].v.store(0, std::memory_order_relaxed);
+      } else {
+        words_[wi].v.fetch_and(~mask, std::memory_order_relaxed);
       }
     }
   }
@@ -118,6 +143,14 @@ class Bitmap {
   };
 
   static size_t WordCount(size_t bits) { return (bits + 63) / 64; }
+
+  /// Bits of word `wi` that fall inside [begin, end).
+  static uint64_t RangeMask(size_t wi, size_t begin, size_t end) {
+    uint64_t mask = ~uint64_t{0};
+    if (begin > wi * 64) mask &= ~uint64_t{0} << (begin - wi * 64);
+    if (end < wi * 64 + 64) mask &= (uint64_t{1} << (end - wi * 64)) - 1;
+    return mask;
+  }
 
   void CopyFrom(const Bitmap& other) {
     size_ = other.size_;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace slfe {
 
@@ -18,42 +17,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> v_{0};
-};
-
-/// Work metrics collected per engine run. "Computations" follows the paper's
-/// definition: one edge-aggregation evaluation feeding a destination vertex
-/// (Fig. 9 y-axis); "updates" is the number of times a vertex property was
-/// actually overwritten (Table 2 numerator).
-struct WorkMetrics {
-  Counter computations;       ///< edge-level aggregation evaluations
-  Counter updates;            ///< vertex property overwrites
-  Counter skipped;            ///< computations bypassed by RR
-  Counter messages;           ///< inter-node messages sent
-  Counter bytes;              ///< inter-node bytes sent
-
-  void Reset() {
-    computations.Reset();
-    updates.Reset();
-    skipped.Reset();
-    messages.Reset();
-    bytes.Reset();
-  }
-};
-
-/// Per-iteration computation history (Fig. 9 series).
-class IterationTrace {
- public:
-  void Record(uint64_t computations) { per_iter_.push_back(computations); }
-  void Clear() { per_iter_.clear(); }
-  const std::vector<uint64_t>& series() const { return per_iter_; }
-  uint64_t Total() const {
-    uint64_t t = 0;
-    for (uint64_t c : per_iter_) t += c;
-    return t;
-  }
-
- private:
-  std::vector<uint64_t> per_iter_;
 };
 
 }  // namespace slfe

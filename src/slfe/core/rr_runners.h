@@ -120,7 +120,7 @@ class MinMaxRunner {
       }
       ctx.world->Barrier();
     }
-    for (VertexId s : seeds) engine_->ActivateSeed(ctx, s);
+    engine_->ActivateSeeds(ctx, seeds);
     uint64_t active = engine_->PromoteActiveSet(ctx);
 
     uint32_t ruler = 0;  // the single Ruler: the iteration counter
@@ -229,9 +229,11 @@ class MinMaxRunner {
     ctx.world->Barrier();
   }
 
-  /// Collective: points the engine's dirty policy at iteration `iter`.
+  /// Collective: points the engine's dirty policy at iteration `iter`. No
+  /// leading barrier is needed: the policy is only read while marking
+  /// updates, and every rank finished that before the barrier that ended
+  /// the previous collective call.
   void SetIterationForDirtyPolicy(sim::NodeContext& ctx, uint32_t iter) {
-    ctx.world->Barrier();
     if (ctx.rank == 0) {
       engine_->SetDirtyPolicy([this, iter](VertexId v) {
         return iter + 1 < max_out_last_iter_[v];
@@ -339,9 +341,10 @@ class ArithRunner {
       ++result.supersteps;
 
       // vertexUpdate phase (Algorithm 5): commit values, track stability,
-      // freeze early-converged vertices.
-      double delta = engine_->ProcessVertices(ctx, [&](VertexId v) {
-        if (rr && frozen_[v] != 0) return 0.0;  // EC: serve cached value
+      // freeze early-converged vertices. One reduction carries both the
+      // convergence test's delta sum and the EC count.
+      VertexSums sums = engine_->ProcessVertices(ctx, [&](VertexId v) {
+        if (rr && frozen_[v] != 0) return VertexSums{0.0, 1};  // cached
         V next = vertex_fn(v, accum_[v]);
         V prev = (*values)[v];
         (*values)[v] = next;
@@ -355,17 +358,11 @@ class ArithRunner {
           if (stable_cnt_[v] >= EffectiveLastIter(v)) frozen_[v] = 1;
         }
         double d = static_cast<double>(next) - static_cast<double>(prev);
-        return d < 0 ? -d : d;
+        return VertexSums{d < 0 ? -d : d, frozen_[v]};
       });
 
-      if (rr) {
-        uint64_t frozen_local = 0;
-        const VertexRange& r = engine_->dist_graph().range(ctx.rank);
-        for (VertexId v = r.begin; v < r.end; ++v) frozen_local += frozen_[v];
-        uint64_t frozen_total = ctx.world->AllReduceSum(ctx.rank, frozen_local);
-        if (ctx.rank == 0) result.ec_history.push_back(frozen_total);
-      }
-      if (delta < epsilon) break;
+      if (rr && ctx.rank == 0) result.ec_history.push_back(sums.frozen);
+      if (sums.delta < epsilon) break;
     }
 
     result.stats = engine_->FinishRun(ctx);
@@ -376,6 +373,17 @@ class ArithRunner {
   }
 
  private:
+  /// Per-vertex results of the vertexUpdate phase, summed over all masters.
+  struct VertexSums {
+    double delta = 0;     ///< sum of |new - old|
+    uint64_t frozen = 0;  ///< early-converged vertices
+    VertexSums& operator+=(const VertexSums& o) {
+      delta += o.delta;
+      frozen += o.frozen;
+      return *this;
+    }
+  };
+
   /// Stability horizon for v (see StabilityHorizon in rr_guidance.h for
   /// the rules; this just binds the runner's configured floor).
   uint64_t EffectiveLastIter(VertexId v) const {

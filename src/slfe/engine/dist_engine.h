@@ -5,10 +5,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "slfe/common/bitmap.h"
-#include "slfe/common/counters.h"
 #include "slfe/common/logging.h"
 #include "slfe/common/timer.h"
 #include "slfe/common/work_stealing.h"
@@ -115,6 +115,11 @@ struct EngineStats {
 /// property arrays are owned by the application and captured in the
 /// gather/apply/scatter lambdas; cross-node writes (push mode) must go
 /// through the AtomicMin/AtomicMax/AtomicAdd helpers.
+///
+/// A steady superstep costs two barriers: one after the compute phase, and
+/// one inside the fused end-of-step reduction (see ProcessEdges). Each rank
+/// keeps its own bookkeeping (RankState); rank 0 writes `stats_` only after
+/// a barrier, and other ranks read it only through FinishRun.
 template <typename V>
 class DistEngine {
  public:
@@ -133,13 +138,12 @@ class DistEngine {
   DistEngine(const DistGraph& dist_graph, EngineOptions options)
       : dg_(dist_graph),
         options_(options),
-        scheduler_(options.enable_work_stealing) {
+        scheduler_(options.enable_work_stealing),
+        ranks_(dist_graph.num_nodes()) {
     VertexId n = dg_.graph().num_vertices();
-    bitmap_a_.Resize(n);
-    bitmap_b_.Resize(n);
+    active_[0].Resize(n);
+    active_[1].Resize(n);
     dirty_.Resize(n);
-    active_cur_ = &bitmap_a_;
-    active_next_ = &bitmap_b_;
   }
 
   const DistGraph& dist_graph() const { return dg_; }
@@ -151,28 +155,40 @@ class DistEngine {
 
   /// Collective: clears all run state (active sets, counters, timers).
   void BeginRun(sim::NodeContext& ctx) {
+    RankState& rs = ranks_[ctx.rank];
+    rs = RankState{};
+    rs.chunks.assign(ctx.pool->num_threads(), 0);
     if (ctx.rank == 0) {
-      active_cur_->Clear();
-      active_next_->Clear();
+      active_[0].Clear();
+      active_[1].Clear();
       dirty_.Clear();
+    }
+    ctx.world->Barrier();
+    // Reset stats_ only now: other ranks may copy the previous run's stats
+    // until they reach the barrier, and none reads them again before the
+    // next FinishRun.
+    if (ctx.rank == 0) {
       stats_ = EngineStats{};
       stats_.node_compute_seconds.assign(dg_.num_nodes(), 0.0);
       stats_.node_computations.assign(dg_.num_nodes(), 0);
       stats_.per_thread_chunks.assign(
           static_cast<size_t>(dg_.num_nodes()) * ctx.pool->num_threads(), 0);
-      last_mode_ = Mode::kPull;  // first push after a pull reactivates
-      metrics_.Reset();
     }
-    ctx.world->Barrier();
   }
 
-  /// Collective: activates a single seed vertex (owner rank performs it).
-  /// Seeds carry initial values nobody has observed yet, so they start
-  /// dirty for the transition-reactivation bookkeeping.
-  void ActivateSeed(sim::NodeContext& ctx, VertexId v) {
-    if (dg_.range(ctx.rank).Contains(v)) {
-      active_next_->SetBit(v);
-      MarkDirty(v);
+  /// Collective: activates `seeds` (any order; duplicates and seeds owned
+  /// by other ranks allowed). Each rank sets the seeds it owns, then one
+  /// barrier. Seeds carry initial values nobody has observed yet, so they
+  /// start dirty for the transition-reactivation bookkeeping.
+  void ActivateSeeds(sim::NodeContext& ctx,
+                     const std::vector<VertexId>& seeds) {
+    const VertexRange& r = dg_.range(ctx.rank);
+    Bitmap& next = Next(ctx.rank);
+    for (VertexId v : seeds) {
+      if (r.Contains(v)) {
+        next.SetBit(v);
+        MarkDirty(v);
+      }
     }
     ctx.world->Barrier();
   }
@@ -180,16 +196,13 @@ class DistEngine {
   /// Collective: activates every vertex (all initial values unobserved).
   void ActivateAll(sim::NodeContext& ctx) {
     const VertexRange& r = dg_.range(ctx.rank);
+    Bitmap& next = Next(ctx.rank);
     for (VertexId v = r.begin; v < r.end; ++v) {
-      active_next_->SetBit(v);
+      next.SetBit(v);
       MarkDirty(v);
     }
     ctx.world->Barrier();
   }
-
-  /// Explicit activation from inside apply/scatter lambdas (rarely needed —
-  /// returning true activates automatically).
-  void Activate(VertexId v) { active_next_->SetBit(v); }
 
   /// Installs the predicate deciding whether an updated vertex becomes
   /// "dirty" (its new value may go unseen by a delayed successor, so the
@@ -203,27 +216,13 @@ class DistEngine {
     dirty_policy_ = std::move(policy);
   }
 
-  /// True iff v was active in the superstep being processed.
-  bool IsActive(VertexId v) const { return active_cur_->TestBit(v); }
-
-  /// Collective: promotes the "next" active set to "current" and returns
-  /// the global number of active vertices. Apps call this once before the
-  /// iteration loop (after seeding) and ProcessEdges does it implicitly
-  /// for subsequent supersteps.
+  /// Collective, two barriers: promotes the "next" active set to "current"
+  /// and returns the global number of active vertices. Runners call this
+  /// once after seeding; ProcessEdges does the same at the end of each
+  /// superstep.
   uint64_t PromoteActiveSet(sim::NodeContext& ctx) {
     ctx.world->Barrier();
-    const VertexRange& r = dg_.range(ctx.rank);
-    uint64_t local = 0;
-    if (ctx.rank == 0) {
-      std::swap(active_cur_, active_next_);
-    }
-    ctx.world->Barrier();
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) ++local;
-    }
-    if (ctx.rank == 0) active_next_->Clear();
-    uint64_t total = ctx.world->AllReduceSum(ctx.rank, local);
-    return total;
+    return Promote(ctx, StepTotals{}).active;
   }
 
   /// Collective: one superstep. Picks push or pull per the mode policy,
@@ -238,25 +237,33 @@ class DistEngine {
   /// and by arithmetic apps (which have no meaningful active sources).
   /// `forced_mode` overrides the mode policy for this superstep (the RR
   /// verification sweep must pull even with an empty active set).
+  ///
+  /// Barriers: one after the compute phase and one in the fused reduction
+  /// of {comm cost, computations, active vertices, active out-edges}; a
+  /// pull->push transition with reactivation adds one more.
   uint64_t ProcessEdges(sim::NodeContext& ctx, V identity,
                         const GatherFn& gather, const ApplyFn& apply,
                         const ScatterFn& scatter,
                         const PullFilterFn& pull_filter = nullptr,
                         bool gather_all = false,
                         const Mode* forced_mode = nullptr) {
-    Mode mode = forced_mode != nullptr ? *forced_mode : DecideMode(ctx);
+    RankState& rs = ranks_[ctx.rank];
+    Mode mode = forced_mode != nullptr ? *forced_mode : DecideMode(rs);
 
     // Pull->push transition: RR may have deactivated vertices whose values
     // were never observed by their successors; reactivate them so push
     // delivers the "unseen" updates (paper Algorithm 3, lines 2-4). kDirty
-    // revives only vertices whose value changed since their last push.
+    // revives only vertices whose value changed since their last push. The
+    // barrier keeps other ranks' pushes from marking dirty bits while this
+    // rank still reads them.
     if (options_.reactivation != TransitionReactivation::kNone &&
-        mode == Mode::kPush && last_mode_ == Mode::kPull) {
+        mode == Mode::kPush && rs.last_mode == Mode::kPull) {
       const VertexRange& r = dg_.range(ctx.rank);
+      Bitmap& cur = Cur(ctx.rank);
       for (VertexId v = r.begin; v < r.end; ++v) {
         if (options_.reactivation == TransitionReactivation::kAll ||
             dirty_.TestBit(v)) {
-          active_cur_->SetBit(v);
+          cur.SetBit(v);
         }
       }
       ctx.world->Barrier();
@@ -274,26 +281,24 @@ class DistEngine {
       RunPush(ctx, scatter, &local_comp, &local_upd, &local_msgs,
               &local_bytes);
     }
-    double compute_seconds = step_timer.Seconds();
+    rs.compute_seconds += step_timer.Seconds();
+    rs.computations += local_comp;
+    rs.updates += local_upd;
+    rs.skipped += local_skip;
+    rs.messages += local_msgs;
+    rs.bytes += local_bytes;
+    rs.last_mode = mode;
 
-    // Commit counters and charge the BSP communication cost for this step.
-    metrics_.computations.Add(local_comp);
-    metrics_.updates.Add(local_upd);
-    metrics_.skipped.Add(local_skip);
-    metrics_.messages.Add(local_msgs);
-    metrics_.bytes.Add(local_bytes);
-    AtomicAdd(&stats_.node_compute_seconds[ctx.rank], compute_seconds);
-    AtomicAdd(&stats_.node_computations[ctx.rank], local_comp);
-
-    double comm_cost = options_.cost_model.Cost(local_msgs, local_bytes);
-    double max_comm = ctx.world->AllReduce(
-        ctx.rank, comm_cost, [](double a, double b) { return std::max(a, b); });
-    uint64_t step_comp = ctx.world->AllReduceSum(ctx.rank, local_comp);
+    ctx.world->Barrier();  // every rank's reads of cur / writes of next done
+    StepTotals mine;
+    mine.comm_seconds = options_.cost_model.Cost(local_msgs, local_bytes);
+    mine.computations = local_comp;
+    StepTotals total = Promote(ctx, mine);
 
     if (ctx.rank == 0) {
       ++stats_.iterations;
-      stats_.comm_seconds += max_comm;
-      stats_.per_iter_computations.push_back(step_comp);
+      stats_.comm_seconds += total.comm_seconds;
+      stats_.per_iter_computations.push_back(total.computations);
       stats_.per_iter_mode.push_back(mode);
       double wall = step_timer.Seconds();
       if (mode == Mode::kPull) {
@@ -301,29 +306,33 @@ class DistEngine {
       } else {
         stats_.push_seconds += wall;
       }
-      last_mode_ = mode;
     }
-    return PromoteActiveSet(ctx);
+    return total.active;
   }
 
-  /// Collective: applies fn to every master vertex and returns the
-  /// all-reduced sum of its return values (e.g., rank delta in PageRank).
-  double ProcessVertices(sim::NodeContext& ctx,
-                         const std::function<double(VertexId)>& fn) {
+  /// Collective, one barrier: applies fn to every master vertex and returns
+  /// the all-reduced sum of its return values (e.g., rank delta in
+  /// PageRank). The result type T needs `+=` and a zero default value; a
+  /// small struct lets one reduction carry several sums.
+  template <typename Fn>
+  auto ProcessVertices(sim::NodeContext& ctx, const Fn& fn) {
+    using T = std::invoke_result_t<const Fn&, VertexId>;
     const VertexRange& r = dg_.range(ctx.rank);
-    std::vector<double> partial(ctx.pool->num_threads(), 0.0);
+    std::vector<T> partial(ctx.pool->num_threads(), T{});
     scheduler_.Run(*ctx.pool, r.begin, r.end,
                    [&](size_t worker, size_t lo, size_t hi) {
-                     double acc = 0;
+                     T acc{};
                      for (size_t v = lo; v < hi; ++v) {
                        acc += fn(static_cast<VertexId>(v));
                      }
                      partial[worker] += acc;
                    });
-    double local = 0;
-    for (double p : partial) local += p;
-    return ctx.world->AllReduce(ctx.rank, local,
-                                [](double a, double b) { return a + b; });
+    T local{};
+    for (const T& p : partial) local += p;
+    T total{};
+    ctx.world->Exchange(ctx.rank, local,
+                        [&total](int, const T& t) { total += t; });
+    return total;
   }
 
   /// Collective: finalizes per-run stats. Call once after the loop; the
@@ -331,11 +340,20 @@ class DistEngine {
   const EngineStats& FinishRun(sim::NodeContext& ctx) {
     ctx.world->Barrier();
     if (ctx.rank == 0) {
-      stats_.computations = metrics_.computations.Get();
-      stats_.updates = metrics_.updates.Get();
-      stats_.skipped = metrics_.skipped.Get();
-      stats_.messages = metrics_.messages.Get();
-      stats_.bytes = metrics_.bytes.Get();
+      stats_.computations = stats_.updates = stats_.skipped = 0;
+      stats_.messages = stats_.bytes = 0;
+      for (int p = 0; p < dg_.num_nodes(); ++p) {
+        const RankState& rs = ranks_[p];
+        stats_.computations += rs.computations;
+        stats_.updates += rs.updates;
+        stats_.skipped += rs.skipped;
+        stats_.messages += rs.messages;
+        stats_.bytes += rs.bytes;
+        stats_.node_compute_seconds[p] = rs.compute_seconds;
+        stats_.node_computations[p] = rs.computations;
+        std::copy(rs.chunks.begin(), rs.chunks.end(),
+                  stats_.per_thread_chunks.begin() + p * rs.chunks.size());
+      }
     }
     ctx.world->Barrier();
     return stats_;
@@ -344,11 +362,64 @@ class DistEngine {
   const EngineStats& stats() const { return stats_; }
 
  private:
+  /// Bookkeeping one rank owns: only that rank's thread writes it; rank 0
+  /// reads it in FinishRun between two barriers.
+  struct alignas(64) RankState {
+    unsigned cur = 0;  ///< index into active_ of the current active set
+    Mode last_mode = Mode::kPull;  ///< first push after a pull reactivates
+    uint64_t active_edges = 0;     ///< global out-edges of the current set
+    uint64_t computations = 0;
+    uint64_t updates = 0;
+    uint64_t skipped = 0;
+    uint64_t messages = 0;
+    uint64_t bytes = 0;
+    double compute_seconds = 0;
+    std::vector<uint64_t> chunks;  ///< mini-chunks run per worker thread
+  };
+
+  /// The fused end-of-superstep reduction record.
+  struct StepTotals {
+    double comm_seconds = 0;  ///< max-reduced (BSP h-relation cost)
+    uint64_t computations = 0;
+    uint64_t active = 0;
+    uint64_t active_edges = 0;
+  };
+
+  Bitmap& Cur(int rank) { return active_[ranks_[rank].cur]; }
+  Bitmap& Next(int rank) { return active_[ranks_[rank].cur ^ 1]; }
+
+  /// Call after a barrier that ends all writes to next and reads of cur.
+  /// Counts this rank's range of next, clears its range of the retiring
+  /// cur, then reduces (one barrier) and swaps cur/next locally — every
+  /// rank flips the same parity, so no shared pointer swap is needed.
+  StepTotals Promote(sim::NodeContext& ctx, StepTotals mine) {
+    RankState& rs = ranks_[ctx.rank];
+    const VertexRange& r = dg_.range(ctx.rank);
+    const Bitmap& next = Next(ctx.rank);
+    const Graph& g = dg_.graph();
+    next.ForEachSetBit(r.begin, r.end, [&](size_t v) {
+      ++mine.active;
+      mine.active_edges += g.out_degree(static_cast<VertexId>(v));
+    });
+    Cur(ctx.rank).Clear(r.begin, r.end);
+    StepTotals total;
+    ctx.world->Exchange(ctx.rank, mine, [&total](int, const StepTotals& s) {
+      total.comm_seconds = std::max(total.comm_seconds, s.comm_seconds);
+      total.computations += s.computations;
+      total.active += s.active;
+      total.active_edges += s.active_edges;
+    });
+    rs.cur ^= 1;
+    rs.active_edges = total.active_edges;
+    return total;
+  }
+
   void MarkDirty(VertexId v) {
     if (!dirty_policy_ || dirty_policy_(v)) dirty_.SetBit(v);
   }
 
-  Mode DecideMode(sim::NodeContext& ctx) {
+  /// Gemini's rule on the active out-edge total the last Promote reduced.
+  Mode DecideMode(const RankState& rs) const {
     switch (options_.mode_policy) {
       case ModePolicy::kAlwaysPull:
         return Mode::kPull;
@@ -357,15 +428,9 @@ class DistEngine {
       case ModePolicy::kAdaptive:
         break;
     }
-    const VertexRange& r = dg_.range(ctx.rank);
-    uint64_t local_active_edges = 0;
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) local_active_edges += dg_.graph().out_degree(v);
-    }
-    uint64_t active_edges = ctx.world->AllReduceSum(ctx.rank, local_active_edges);
     double threshold =
         options_.dense_fraction * static_cast<double>(dg_.graph().num_edges());
-    return active_edges > threshold ? Mode::kPull : Mode::kPush;
+    return rs.active_edges > threshold ? Mode::kPull : Mode::kPush;
   }
 
   void RunPull(sim::NodeContext& ctx, V identity, const GatherFn& gather,
@@ -374,6 +439,8 @@ class DistEngine {
                uint64_t* skip, uint64_t* msgs, uint64_t* bytes) {
     const Csr& in = dg_.graph().in();
     const VertexRange& r = dg_.range(ctx.rank);
+    const Bitmap& cur = Cur(ctx.rank);
+    Bitmap& next = Next(ctx.rank);
     size_t nthreads = ctx.pool->num_threads();
     struct ThreadCounters {
       uint64_t comp = 0, upd = 0, skip = 0;
@@ -398,33 +465,32 @@ class DistEngine {
             bool any = false;
             for (EdgeId e = in.begin(dst); e < in.end(dst); ++e) {
               VertexId src = in.neighbor(e);
-              if (!all && !active_cur_->TestBit(src)) continue;
+              if (!all && !cur.TestBit(src)) continue;
               acc = gather(acc, src, in.weight(e));
               ++c.comp;
               any = true;
             }
             if (any && apply(dst, acc)) {
-              active_next_->SetBit(dst);
+              next.SetBit(dst);
               MarkDirty(dst);
               ++c.upd;
             }
           }
         });
+    std::vector<uint64_t>& rank_chunks = ranks_[ctx.rank].chunks;
     for (size_t w = 0; w < nthreads; ++w) {
       *comp += tc[w].comp;
       *upd += tc[w].upd;
       *skip += tc[w].skip;
-      AtomicAdd(&stats_.per_thread_chunks[static_cast<size_t>(ctx.rank) *
-                                              nthreads + w],
-                chunks[w]);
+      rank_chunks[w] += chunks[w];
     }
     // Mirror refresh traffic: every master whose value changed last step
     // (i.e., is active now) must ship its value to each node holding a
     // mirror, so that remote pull-mode gathers see it.
     uint64_t refresh_values = 0;
-    for (VertexId v = r.begin; v < r.end; ++v) {
-      if (active_cur_->TestBit(v)) refresh_values += dg_.MirrorNodeCount(v);
-    }
+    cur.ForEachSetBit(r.begin, r.end, [&](size_t v) {
+      refresh_values += dg_.MirrorNodeCount(static_cast<VertexId>(v));
+    });
     *bytes += refresh_values * (sizeof(VertexId) + sizeof(V));
     if (refresh_values > 0) {
       *msgs += static_cast<uint64_t>(dg_.num_nodes() - 1);  // batched
@@ -436,6 +502,8 @@ class DistEngine {
                uint64_t* bytes) {
     const Csr& out = dg_.graph().out();
     const VertexRange& r = dg_.range(ctx.rank);
+    const Bitmap& cur = Cur(ctx.rank);
+    Bitmap& next = Next(ctx.rank);
     size_t nthreads = ctx.pool->num_threads();
     struct ThreadCounters {
       uint64_t comp = 0, upd = 0, vals = 0;
@@ -447,7 +515,7 @@ class DistEngine {
           ThreadCounters& c = tc[worker];
           for (size_t sv = lo; sv < hi; ++sv) {
             VertexId src = static_cast<VertexId>(sv);
-            if (!active_cur_->TestBit(src)) continue;
+            if (!cur.TestBit(src)) continue;
             // Pushing delivers src's current value to every out-neighbor,
             // so src is no longer "dirty" (unseen) afterwards.
             dirty_.ResetBit(src);
@@ -457,21 +525,20 @@ class DistEngine {
               VertexId dst = out.neighbor(e);
               ++c.comp;
               if (scatter(src, dst, out.weight(e))) {
-                active_next_->SetBit(dst);
+                next.SetBit(dst);
                 MarkDirty(dst);
                 ++c.upd;
               }
             }
           }
         });
+    std::vector<uint64_t>& rank_chunks = ranks_[ctx.rank].chunks;
     uint64_t vals = 0;
     for (size_t w = 0; w < nthreads; ++w) {
       *comp += tc[w].comp;
       *upd += tc[w].upd;
       vals += tc[w].vals;
-      AtomicAdd(&stats_.per_thread_chunks[static_cast<size_t>(ctx.rank) *
-                                              nthreads + w],
-                chunks[w]);
+      rank_chunks[w] += chunks[w];
     }
     *bytes += vals * (sizeof(VertexId) + sizeof(V));
     if (vals > 0) {
@@ -486,14 +553,10 @@ class DistEngine {
   EngineOptions options_;
   WorkStealingScheduler scheduler_;
 
-  Bitmap bitmap_a_;
-  Bitmap bitmap_b_;
-  Bitmap dirty_;  ///< value changed since last pushed (unseen by some)
+  Bitmap active_[2];  ///< current / next active sets, indexed by parity
+  Bitmap dirty_;      ///< value changed since last pushed (unseen by some)
   std::function<bool(VertexId)> dirty_policy_;
-  Bitmap* active_cur_ = nullptr;
-  Bitmap* active_next_ = nullptr;
-  Mode last_mode_ = Mode::kPull;
-  WorkMetrics metrics_;
+  std::vector<RankState> ranks_;
   EngineStats stats_;
 };
 

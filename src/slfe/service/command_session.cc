@@ -165,7 +165,7 @@ void CommandSession::Reject(const std::string& message) {
 
 void CommandSession::DrainOutstanding() {
   for (const JobTicket& ticket : outstanding_) {
-    const JobResult& result = ticket->Wait();
+    JobResult result = ticket->Wait();
     if (!result.status.ok()) any_error_ = true;
     sink_(FormatResult(result));
   }

@@ -104,7 +104,9 @@ struct JobResult {
 /// finishes the job; handles stay valid after the service shuts down.
 class JobHandle {
  public:
-  const JobResult& Wait() const {
+  /// Returns a copy, so the result outlives the handle: callers may write
+  /// `service.Submit(q).value()->Wait()` on a temporary ticket.
+  JobResult Wait() const {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return done_; });
     return result_;

@@ -5,7 +5,8 @@ namespace slfe::sim {
 World::World(int num_nodes)
     : num_nodes_(num_nodes),
       mailboxes_(num_nodes),
-      per_node_(num_nodes) {
+      per_node_(num_nodes),
+      slots_(num_nodes) {
   SLFE_CHECK_GE(num_nodes, 1);
 }
 
@@ -42,6 +43,7 @@ void World::Barrier() {
   if (++barrier_waiting_ == num_nodes_) {
     barrier_waiting_ = 0;
     barrier_sense_ = !barrier_sense_;
+    barriers_completed_.fetch_add(1, std::memory_order_relaxed);
     barrier_cv_.notify_all();
   } else {
     barrier_cv_.wait(lock, [&] { return barrier_sense_ != my_sense; });
@@ -50,43 +52,16 @@ void World::Barrier() {
 
 double World::AllReduce(int rank, double value,
                         const std::function<double(double, double)>& op) {
-  (void)rank;
-  {
-    std::lock_guard<std::mutex> lock(reduce_mu_);
-    if (reduce_arrived_ == 0) {
-      reduce_value_ = value;
-    } else {
-      reduce_value_ = op(reduce_value_, value);
-    }
-    ++reduce_arrived_;
-  }
-  Barrier();  // all contributions in
-  double result;
-  {
-    std::lock_guard<std::mutex> lock(reduce_mu_);
-    result = reduce_value_;
-  }
-  Barrier();  // all reads done before scratch reuse
-  {
-    std::lock_guard<std::mutex> lock(reduce_mu_);
-    reduce_arrived_ = 0;
-  }
-  Barrier();  // reset visible to everyone
+  double result = 0;
+  Exchange(rank, value, [&](int r, double v) {
+    result = r == 0 ? v : op(result, v);
+  });
   return result;
 }
 
 uint64_t World::AllReduceSum(int rank, uint64_t value) {
-  (void)rank;
-  reduce_mu_.lock();
-  reduce_u64_ += value;
-  reduce_mu_.unlock();
-  Barrier();
-  uint64_t result = reduce_u64_;
-  Barrier();
-  reduce_mu_.lock();
-  reduce_u64_ = 0;
-  reduce_mu_.unlock();
-  Barrier();
+  uint64_t result = 0;
+  Exchange(rank, value, [&result](int, uint64_t v) { result += v; });
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "slfe/common/counters.h"
@@ -55,8 +56,39 @@ class World {
   /// Sense-reversing barrier across all ranks.
   void Barrier();
 
-  /// All-reduce of one double using `op` (associative+commutative).
-  /// Every rank passes its local value; all receive the reduction.
+  /// Barrier episodes completed so far (every rank arrived). Between two of
+  /// a rank's collective calls the value is stable, so a rank can diff it
+  /// around a call to count the barriers that call ran.
+  uint64_t barriers_completed() const {
+    return barriers_completed_.load(std::memory_order_relaxed);
+  }
+
+  /// Collective, one barrier: every rank contributes `mine`; afterwards each
+  /// rank calls `visit(r, contribution of rank r)` for r = 0..n-1 in rank
+  /// order, so folds are deterministic regardless of arrival order.
+  ///
+  /// Each rank writes only its own slot, alternating between two halves by
+  /// a per-rank epoch. Reduction k+2 reuses reduction k's half, and rank r
+  /// can only start reduction k+2 after passing reduction k+1's barrier,
+  /// which every rank reaches only after it finished reading reduction k.
+  template <typename T, typename Visit>
+  void Exchange(int rank, const T& mine, Visit&& visit) {
+    static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= kSlotBytes,
+                  "Exchange payloads are small trivially copyable records");
+    ReduceSlot& own = slots_[rank];
+    const unsigned half = own.epoch++ & 1u;
+    std::memcpy(own.half[half], &mine, sizeof(T));
+    Barrier();
+    for (int r = 0; r < num_nodes_; ++r) {
+      T theirs;
+      std::memcpy(&theirs, slots_[r].half[half], sizeof(T));
+      visit(r, theirs);
+    }
+  }
+
+  /// All-reduce of one double using `op` (associative+commutative), folded
+  /// in rank order. Every rank passes its local value; all receive the
+  /// reduction.
   double AllReduce(int rank, double value,
                    const std::function<double(double, double)>& op);
 
@@ -93,12 +125,15 @@ class World {
   std::condition_variable barrier_cv_;
   int barrier_waiting_ = 0;
   bool barrier_sense_ = false;
+  std::atomic<uint64_t> barriers_completed_{0};
 
-  // Reduction scratch.
-  std::mutex reduce_mu_;
-  double reduce_value_ = 0;
-  uint64_t reduce_u64_ = 0;
-  int reduce_arrived_ = 0;
+  // Exchange scratch: one slot per rank, written only by that rank.
+  static constexpr size_t kSlotBytes = 64;
+  struct ReduceSlot {
+    alignas(64) unsigned char half[2][kSlotBytes];
+    uint64_t epoch = 0;  ///< reductions this rank has entered
+  };
+  std::vector<ReduceSlot> slots_;
 };
 
 }  // namespace slfe::sim

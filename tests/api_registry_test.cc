@@ -323,5 +323,33 @@ TEST(SessionTest, RepeatedGuidedRunsShareTheSessionProvider) {
             StatusCode::kFailedPrecondition);
 }
 
+// cc's summary counts self-labelled vertices (the min-label invariant);
+// on every engine, guided or not, that must equal the number of distinct
+// labels. A sparse graph keeps many components, isolated vertices included.
+TEST(SessionTest, CcSummaryCountsDistinctLabelsOnEveryEngine) {
+  Session session;
+  ASSERT_TRUE(session.AddGraph("g", Rmat(400, 300, 52)).ok());
+  const AppDescriptor* cc = AppRegistry::Global().Find("cc");
+  ASSERT_NE(cc, nullptr);
+  for (Engine engine : cc->engines()) {
+    for (bool rr : {false, true}) {
+      SCOPED_TRACE(std::string(EngineName(engine)) + " rr=" +
+                   std::to_string(rr));
+      AppRequest request;
+      request.app = "cc";
+      request.engine = EngineName(engine);
+      request.graph = "g";
+      request.enable_rr = rr;
+      AppOutcome out = session.Run(request);
+      ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+      std::set<double> labels(out.values.begin(), out.values.end());
+      EXPECT_GT(labels.size(), 1u);
+      EXPECT_EQ(out.summary, labels.size());
+      EXPECT_EQ(out.summary_text,
+                "components=" + std::to_string(labels.size()));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace slfe::api

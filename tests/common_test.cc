@@ -5,10 +5,11 @@
 
 #include <atomic>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "slfe/common/bitmap.h"
-#include "slfe/common/counters.h"
 #include "slfe/common/random.h"
 #include "slfe/common/status.h"
 #include "slfe/common/thread_pool.h"
@@ -131,6 +132,36 @@ TEST(BitmapTest, ForEachSetBitVisitsAscending) {
   std::vector<size_t> got;
   b.ForEachSetBit([&](size_t i) { got.push_back(i); });
   EXPECT_EQ(got, want);
+}
+
+TEST(BitmapTest, RangeOpsMatchPerBitScan) {
+  // Ranges starting and ending inside, on, and across word boundaries,
+  // checked against a per-bit scan of a pseudo-random pattern.
+  constexpr size_t kSize = 300;
+  const std::pair<size_t, size_t> ranges[] = {
+      {0, 0}, {0, 300}, {5, 60}, {64, 128}, {63, 65}, {100, 101},
+      {70, 299}, {1, 64}, {128, 300}, {17, 17}};
+  for (auto [begin, end] : ranges) {
+    SCOPED_TRACE(std::to_string(begin) + ".." + std::to_string(end));
+    Bitmap b(kSize);
+    for (size_t i = 0; i < kSize; ++i) {
+      if ((i * 2654435761u) % 7 < 3) b.SetBit(i);
+    }
+    const Bitmap before = b;
+    std::vector<size_t> want;
+    for (size_t i = begin; i < end; ++i) {
+      if (before.TestBit(i)) want.push_back(i);
+    }
+    std::vector<size_t> got;
+    b.ForEachSetBit(begin, end, [&](size_t i) { got.push_back(i); });
+    EXPECT_EQ(got, want);
+
+    b.Clear(begin, end);
+    for (size_t i = 0; i < kSize; ++i) {
+      bool inside = i >= begin && i < end;
+      EXPECT_EQ(b.TestBit(i), inside ? false : before.TestBit(i)) << i;
+    }
+  }
 }
 
 TEST(BitmapTest, ConcurrentSetsAreLossless) {
@@ -353,27 +384,6 @@ TEST(TimerTest, AccumTimerSumsIntervals) {
   EXPECT_GE(t.Seconds(), first);
   t.Reset();
   EXPECT_EQ(t.Seconds(), 0.0);
-}
-
-TEST(CountersTest, WorkMetricsResetClearsAll) {
-  WorkMetrics m;
-  m.computations.Add(5);
-  m.updates.Add(2);
-  m.bytes.Add(100);
-  m.Reset();
-  EXPECT_EQ(m.computations.Get(), 0u);
-  EXPECT_EQ(m.updates.Get(), 0u);
-  EXPECT_EQ(m.bytes.Get(), 0u);
-}
-
-TEST(CountersTest, IterationTraceAccumulates) {
-  IterationTrace trace;
-  trace.Record(10);
-  trace.Record(20);
-  EXPECT_EQ(trace.Total(), 30u);
-  EXPECT_EQ(trace.series().size(), 2u);
-  trace.Clear();
-  EXPECT_EQ(trace.Total(), 0u);
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST(DistEngineTest, BfsViaProcessEdges) {
 
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -147,7 +147,7 @@ TEST(DistEngineTest, BfsViaProcessEdges) {
           },
           [&level](VertexId dst, uint32_t acc) {
             if (acc < level[dst]) {
-              level[dst] = acc;
+              AtomicStore(&level[dst], acc);
               return true;
             }
             return false;
@@ -177,7 +177,7 @@ TEST(DistEngineTest, AlwaysPushPolicyNeverPulls) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -203,7 +203,7 @@ TEST(DistEngineTest, AlwaysPullPolicyNeverPushes) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -214,7 +214,7 @@ TEST(DistEngineTest, AlwaysPullPolicyNeverPushes) {
           },
           [&level](VertexId dst, uint32_t acc) {
             if (acc < level[dst]) {
-              level[dst] = acc;
+              AtomicStore(&level[dst], acc);
               return true;
             }
             return false;
@@ -240,7 +240,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
   level[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -251,7 +251,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
           },
           [&level](VertexId dst, uint32_t acc) {
             if (acc < level[dst]) {
-              level[dst] = acc;
+              AtomicStore(&level[dst], acc);
               return true;
             }
             return false;
@@ -278,7 +278,7 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
   clevel[0] = 0;
   hc.cluster.Run([&](sim::NodeContext& ctx) {
     hc.engine.BeginRun(ctx);
-    hc.engine.ActivateSeed(ctx, 0);
+    hc.engine.ActivateSeeds(ctx, {0});
     uint64_t active = hc.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = hc.engine.ProcessEdges(
@@ -300,7 +300,7 @@ TEST(DistEngineTest, CommBytesZeroOnSingleNode) {
   lv[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -311,7 +311,7 @@ TEST(DistEngineTest, CommBytesZeroOnSingleNode) {
           },
           [&lv](VertexId dst, uint32_t acc) {
             if (acc < lv[dst]) {
-              lv[dst] = acc;
+              AtomicStore(&lv[dst], acc);
               return true;
             }
             return false;
@@ -338,7 +338,7 @@ TEST(DistEngineTest, CommBytesGrowWithNodeCount) {
     dist[0] = 0;
     h.cluster.Run([&](sim::NodeContext& ctx) {
       h.engine.BeginRun(ctx);
-      h.engine.ActivateSeed(ctx, 0);
+      h.engine.ActivateSeeds(ctx, {0});
       uint64_t active = h.engine.PromoteActiveSet(ctx);
       while (active > 0) {
         active = h.engine.ProcessEdges(
@@ -348,7 +348,7 @@ TEST(DistEngineTest, CommBytesGrowWithNodeCount) {
             },
             [&dist](VertexId dst, float acc) {
               if (acc < dist[dst]) {
-                dist[dst] = acc;
+                AtomicStore(&dist[dst], acc);
                 return true;
               }
               return false;
@@ -378,6 +378,103 @@ TEST(DistEngineTest, ProcessVerticesReducesSum) {
   EXPECT_DOUBLE_EQ(result, 99.0 * 100.0 / 2.0);
 }
 
+TEST(DistEngineTest, ActivateSeedsEqualsTheDistinctSeedSet) {
+  // Unsorted, duplicated seeds spread over all four ranks' ranges behave
+  // like activating each distinct seed once: the promoted count is the
+  // distinct count, the first push scans exactly their out-edges, and a
+  // multi-source BFS reaches every vertex at its distance to the nearest
+  // seed.
+  Graph g = Graph::FromEdges(GenerateGrid(10, 10));
+  const std::vector<VertexId> seeds = {97, 3, 55, 3, 97, 31, 55, 3};
+  const std::vector<VertexId> distinct = {3, 31, 55, 97};
+  EngineOptions opt;
+  opt.mode_policy = ModePolicy::kAlwaysPush;
+  EngineHarness h(g, 4, 2, opt);
+  std::vector<uint32_t> level(g.num_vertices(), UINT32_MAX);
+  for (VertexId s : distinct) level[s] = 0;
+  std::vector<uint64_t> promoted(4);
+  h.cluster.Run([&](sim::NodeContext& ctx) {
+    h.engine.BeginRun(ctx);
+    h.engine.ActivateSeeds(ctx, seeds);
+    uint64_t active = h.engine.PromoteActiveSet(ctx);
+    promoted[ctx.rank] = active;
+    while (active > 0) {
+      active = h.engine.ProcessEdges(
+          ctx, UINT32_MAX, nullptr, nullptr,
+          [&level](VertexId src, VertexId dst, Weight) {
+            return AtomicMin(&level[dst], AtomicLoad(&level[src]) + 1);
+          });
+    }
+    h.engine.FinishRun(ctx);
+  });
+  for (uint64_t p : promoted) EXPECT_EQ(p, distinct.size());
+  uint64_t seed_out_edges = 0;
+  for (VertexId s : distinct) seed_out_edges += g.out_degree(s);
+  ASSERT_FALSE(h.engine.stats().per_iter_computations.empty());
+  EXPECT_EQ(h.engine.stats().per_iter_computations[0], seed_out_edges);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    uint32_t want = UINT32_MAX;
+    for (VertexId s : distinct) {
+      uint32_t d = (v / 10 > s / 10 ? v / 10 - s / 10 : s / 10 - v / 10) +
+                   (v % 10 > s % 10 ? v % 10 - s % 10 : s % 10 - v % 10);
+      want = std::min(want, d);
+    }
+    EXPECT_EQ(level[v], want) << "v=" << v;
+  }
+}
+
+TEST(DistEngineTest, SteadySuperstepCostsTwoBarriers) {
+  // The barrier budget, read off the World's completed-barrier counter on
+  // rank 0 around each collective call: seeding 1, promotion 2, and every
+  // superstep 2 (compute barrier + fused reduction), in both adaptive and
+  // pull-only mode.
+  Graph g = Graph::FromEdges(GenerateGrid(12, 12, true));
+  for (ModePolicy policy : {ModePolicy::kAdaptive, ModePolicy::kAlwaysPull}) {
+    EngineOptions opt;
+    opt.mode_policy = policy;
+    EngineHarness<float> h(g, 4, 1, opt);
+    std::vector<float> dist(g.num_vertices(),
+                            std::numeric_limits<float>::infinity());
+    dist[0] = 0;
+    uint64_t seeding = 0, promotion = 0;
+    std::vector<uint64_t> steps;
+    h.cluster.Run([&](sim::NodeContext& ctx) {
+      const sim::World& world = *ctx.world;
+      h.engine.BeginRun(ctx);
+      uint64_t mark = world.barriers_completed();
+      h.engine.ActivateSeeds(ctx, {0});
+      if (ctx.rank == 0) seeding = world.barriers_completed() - mark;
+      mark = world.barriers_completed();
+      uint64_t active = h.engine.PromoteActiveSet(ctx);
+      if (ctx.rank == 0) promotion = world.barriers_completed() - mark;
+      while (active > 0) {
+        mark = world.barriers_completed();
+        active = h.engine.ProcessEdges(
+            ctx, std::numeric_limits<float>::infinity(),
+            [&dist](float acc, VertexId src, Weight w) {
+              return std::min(acc, AtomicLoad(&dist[src]) + w);
+            },
+            [&dist](VertexId dst, float acc) {
+              if (acc < dist[dst]) {
+                AtomicStore(&dist[dst], acc);
+                return true;
+              }
+              return false;
+            },
+            [&dist](VertexId src, VertexId dst, Weight w) {
+              return AtomicMin(&dist[dst], AtomicLoad(&dist[src]) + w);
+            });
+        if (ctx.rank == 0) steps.push_back(world.barriers_completed() - mark);
+      }
+      h.engine.FinishRun(ctx);
+    });
+    EXPECT_EQ(seeding, 1u);
+    EXPECT_EQ(promotion, 2u);
+    ASSERT_GT(steps.size(), 5u);
+    for (uint64_t b : steps) EXPECT_EQ(b, 2u);
+  }
+}
+
 TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   Graph g = Graph::FromEdges(GenerateGrid(12, 12, true));
   EngineHarness<float> h(g, 2, 1);
@@ -386,7 +483,7 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   dist[0] = 0;
   h.cluster.Run([&](sim::NodeContext& ctx) {
     h.engine.BeginRun(ctx);
-    h.engine.ActivateSeed(ctx, 0);
+    h.engine.ActivateSeeds(ctx, {0});
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
@@ -396,7 +493,7 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
           },
           [&dist](VertexId dst, float acc) {
             if (acc < dist[dst]) {
-              dist[dst] = acc;
+              AtomicStore(&dist[dst], acc);
               return true;
             }
             return false;

@@ -195,7 +195,7 @@ TEST(JobServiceTest, RunsEveryRegistryDeclaredPair) {
   }
   EXPECT_GE(pairs, 20u);  // 13 apps, several multi-engine
   for (const JobTicket& ticket : tickets) {
-    const JobResult& result = ticket->Wait();
+    JobResult result = ticket->Wait();
     EXPECT_TRUE(result.status.ok())
         << result.engine << "/" << result.app << ": "
         << result.status.ToString();
@@ -236,13 +236,13 @@ TEST(JobServiceTest, PreviouslyUnreachablePairsRunViaService) {
   auto dist_ticket = service.Submit(dist_sssp);
   ASSERT_TRUE(dist_ticket.ok());
 
-  const JobResult& ooc_result = ooc_ticket.value()->Wait();
+  JobResult ooc_result = ooc_ticket.value()->Wait();
   EXPECT_TRUE(ooc_result.status.ok()) << ooc_result.status.ToString();
   EXPECT_TRUE(ooc_result.guidance_acquired);
   EXPECT_GT(ooc_result.supersteps, 0u);
 
-  const JobResult& gas_result = gas_ticket.value()->Wait();
-  const JobResult& dist_result = dist_ticket.value()->Wait();
+  JobResult gas_result = gas_ticket.value()->Wait();
+  JobResult dist_result = dist_ticket.value()->Wait();
   EXPECT_TRUE(gas_result.status.ok()) << gas_result.status.ToString();
   EXPECT_TRUE(dist_result.status.ok());
   EXPECT_EQ(gas_result.summary, dist_result.summary)
@@ -346,13 +346,13 @@ TEST(JobServiceTest, FloodingTenantCannotStarveAnotherTenant) {
 
   uint64_t victim_last = 0;
   for (const JobTicket& ticket : victim_tickets) {
-    const JobResult& result = ticket->Wait();
+    JobResult result = ticket->Wait();
     ASSERT_TRUE(result.status.ok());
     victim_last = std::max(victim_last, result.sequence);
   }
   size_t flood_after_victim = 0;
   for (const JobTicket& ticket : flood_tickets) {
-    const JobResult& result = ticket->Wait();
+    JobResult result = ticket->Wait();
     ASSERT_TRUE(result.status.ok());
     if (result.sequence > victim_last) ++flood_after_victim;
   }
@@ -377,7 +377,7 @@ TEST(JobServiceTest, BaselineJobsSkipGuidanceEntirely) {
   request.enable_rr = false;
   auto ticket = service.Submit(request);
   ASSERT_TRUE(ticket.ok());
-  const JobResult& result = ticket.value()->Wait();
+  JobResult result = ticket.value()->Wait();
   EXPECT_TRUE(result.status.ok());
   EXPECT_FALSE(result.guidance_acquired);
   JobServiceStats stats = service.Stats();
@@ -437,7 +437,7 @@ TEST(JobServiceTest, MultiTenantConcurrentJobsAmortizeToOneGenerationPerGraph) {
   size_t total_jobs = 0;
   for (const auto& per_tenant : tickets) {
     for (const JobTicket& ticket : per_tenant) {
-      const JobResult& result = ticket->Wait();
+      JobResult result = ticket->Wait();
       EXPECT_TRUE(result.status.ok()) << result.status.ToString();
       EXPECT_TRUE(result.guidance_acquired);
       ++total_jobs;
@@ -564,7 +564,7 @@ TEST(JobServiceTest, MidRunSweepNeverEvictsInFlightGuidance) {
     }
   }
   for (const JobTicket& ticket : tickets) {
-    const JobResult& result = ticket->Wait();
+    JobResult result = ticket->Wait();
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
   }
   service.Shutdown();
@@ -663,7 +663,7 @@ TEST(JobServiceMutationTest, MutationJobsRunThroughTheQueueAndCount) {
   mutation.delta.erase.emplace_back(19, 20);
   auto ticket = service.SubmitMutation(mutation);
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-  const JobResult& result = ticket.value()->Wait();
+  JobResult result = ticket.value()->Wait();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.app, "mutate");
   EXPECT_EQ(result.summary, 2u);  // version now served
@@ -683,7 +683,7 @@ TEST(JobServiceMutationTest, MutationJobsRunThroughTheQueueAndCount) {
   // an effective mutation: no version bump, no mutations count.
   auto noop_ticket = service.SubmitMutation(mutation);
   ASSERT_TRUE(noop_ticket.ok());
-  const JobResult& noop = noop_ticket.value()->Wait();
+  JobResult noop = noop_ticket.value()->Wait();
   EXPECT_TRUE(noop.status.ok());
   EXPECT_EQ(noop.summary, 2u);  // version unchanged
   EXPECT_EQ(noop.updates, 0u);
@@ -752,10 +752,10 @@ TEST(JobServiceMutationTest, QueriesExecuteOnTheirSubmitTimeVersion) {
   // Lane rotation pops z, m, q: the mutation completes before the pinned
   // query runs.
   ASSERT_TRUE(blocker_ticket.value()->Wait().status.ok());
-  const JobResult& mutated = mutation_ticket.value()->Wait();
+  JobResult mutated = mutation_ticket.value()->Wait();
   ASSERT_TRUE(mutated.status.ok());
   EXPECT_EQ(mutated.summary, 2u);
-  const JobResult& pinned_result = pinned_ticket.value()->Wait();
+  JobResult pinned_result = pinned_ticket.value()->Wait();
   ASSERT_TRUE(pinned_result.status.ok());
   EXPECT_EQ(pinned_result.summary, 39u)
       << "job submitted against version 1 must run on version 1";
@@ -779,7 +779,7 @@ TEST(JobServiceMutationTest, PostMutationMissesAreServedByRepair) {
   query.graph = "c";
   auto first = service.Submit(query);
   ASSERT_TRUE(first.ok());
-  const JobResult& generated = first.value()->Wait();
+  JobResult generated = first.value()->Wait();
   ASSERT_TRUE(generated.status.ok());
   EXPECT_TRUE(generated.guidance_acquired);
   EXPECT_FALSE(generated.guidance_repaired);
@@ -794,7 +794,7 @@ TEST(JobServiceMutationTest, PostMutationMissesAreServedByRepair) {
 
   auto second = service.Submit(query);
   ASSERT_TRUE(second.ok());
-  const JobResult& repaired = second.value()->Wait();
+  JobResult repaired = second.value()->Wait();
   ASSERT_TRUE(repaired.status.ok());
   EXPECT_TRUE(repaired.guidance_acquired);
   EXPECT_TRUE(repaired.guidance_repaired)
@@ -835,7 +835,7 @@ TEST(JobServiceMutationTest, MutationNeverEvictsTheOldVersionsStoreEntry) {
   mutation.delta.insert.push_back(Edge{0, 20, 1.0f});
   ASSERT_TRUE(service.SubmitMutation(mutation).value()->Wait().status.ok());
 
-  const JobResult& after = service.Submit(query).value()->Wait();
+  JobResult after = service.Submit(query).value()->Wait();
   ASSERT_TRUE(after.status.ok());
   EXPECT_TRUE(after.guidance_repaired);
 
@@ -909,7 +909,7 @@ TEST(JobServiceMutationTest, ConcurrentMutateAndQueryTrafficStaysConsistent) {
 
   uint64_t effective_mutations = 0;
   for (const JobTicket& ticket : tickets) {
-    const JobResult& result = ticket->Wait();
+    JobResult result = ticket->Wait();
     EXPECT_TRUE(result.status.ok())
         << result.app << " on " << result.graph << ": "
         << result.status.ToString();
@@ -956,7 +956,7 @@ TEST(JobServiceObservabilityTest, TraceSpansTileTheEndToEndLatency) {
     tickets.push_back(std::move(ticket).value());
   }
   for (const auto& ticket : tickets) {
-    const JobResult& result = ticket->Wait();
+    JobResult result = ticket->Wait();
     ASSERT_TRUE(result.status.ok());
     ASSERT_NE(result.trace, nullptr);
     const obs::JobTrace& trace = *result.trace;
@@ -1008,7 +1008,7 @@ TEST(JobServiceObservabilityTest, TracingDisabledStillFeedsHistograms) {
   request.root = 0;
   auto ticket = service.Submit(request);
   ASSERT_TRUE(ticket.ok());
-  const JobResult& result = ticket.value()->Wait();
+  JobResult result = ticket.value()->Wait();
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.trace, nullptr);
   EXPECT_TRUE(service.flight_recorder().Recent().empty());

@@ -25,6 +25,7 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 struct SsspRun {
   std::vector<float> dist;
   typename MinMaxRunner<float>::RunResult result;
+  uint64_t barriers = 0;  ///< completed by the run's fresh cluster
 };
 
 SsspRun RunSsspVariant(const Graph& g, int nodes, int threads,
@@ -42,7 +43,7 @@ SsspRun RunSsspVariant(const Graph& g, int nodes, int threads,
   };
   auto apply = [&dist](VertexId dst, float acc) {
     if (acc < dist[dst]) {
-      dist[dst] = acc;
+      AtomicStore(&dist[dst], acc);
       return true;
     }
     return false;
@@ -55,6 +56,7 @@ SsspRun RunSsspVariant(const Graph& g, int nodes, int threads,
     auto r = runner.Run(ctx, {0}, kInf, gather, apply, scatter);
     if (ctx.rank == 0) out.result = r;
   });
+  out.barriers = cluster.world().barriers_completed();
   return out;
 }
 
@@ -113,6 +115,16 @@ TEST(MinMaxRunnerTest, BaselineRunHasNoSkipsOrSweep) {
   EXPECT_EQ(run.result.verification_computations, 0u);
 }
 
+TEST(MinMaxRunnerTest, BaselineSuperstepCostsTwoBarriers) {
+  // Setup: BeginRun 1 + ActivateSeeds 1 + PromoteActiveSet 2; teardown:
+  // FinishRun 2. Everything else is 2 barriers per superstep.
+  Graph g = TestGraph(37);
+  auto run = RunSsspVariant(g, 4, 1, /*guidance=*/nullptr,
+                            RRVariant::kGatherAllAtStart);
+  ASSERT_GT(run.result.supersteps, 3u);
+  EXPECT_EQ(run.barriers, 6 + 2 * run.result.supersteps);
+}
+
 TEST(MinMaxRunnerTest, CleanSweepCostReclassified) {
   // With guidance rooted at the true source, the terminal sweep should
   // find nothing, and its edge evaluations must be reported as
@@ -153,6 +165,7 @@ TEST(MinMaxRunnerTest, EmptyGuidanceStillConverges) {
 struct PrRun {
   std::vector<float> contrib;
   typename ArithRunner<float>::RunResult result;
+  uint64_t barriers = 0;  ///< completed by the run's fresh cluster
 };
 
 PrRun RunPrKernel(const Graph& g, int nodes, const RRGuidance* guidance,
@@ -184,6 +197,7 @@ PrRun RunPrKernel(const Graph& g, int nodes, const RRGuidance* guidance,
                         /*epsilon=*/0.0);
     if (ctx.rank == 0) out.result = r;
   });
+  out.barriers = cluster.world().barriers_completed();
   return out;
 }
 
@@ -227,6 +241,20 @@ TEST(ArithRunnerTest, EcValuesStayWithinToleranceOfExact) {
   PrRun base = RunPrKernel(g, 2, nullptr, 150);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_NEAR(rr.contrib[v], base.contrib[v], 5e-3) << "v=" << v;
+  }
+}
+
+TEST(ArithRunnerTest, IterationCostsThreeBarriers) {
+  // Per iteration: ProcessEdges 2 + the fused {delta, EC count} reduction
+  // 1. Setup: BeginRun 1 + array init 1 + ActivateAll 1 +
+  // PromoteActiveSet 2; teardown: FinishRun 2.
+  Graph g = TestGraph(45);
+  RRGuidance guidance = RRGuidance::Generate(g, SelectSourceRoots(g));
+  const RRGuidance* configs[] = {nullptr, &guidance};
+  for (const RRGuidance* rr : configs) {
+    PrRun run = RunPrKernel(g, 3, rr, 25);
+    ASSERT_EQ(run.result.supersteps, 25u);
+    EXPECT_EQ(run.barriers, 7 + 3 * run.result.supersteps);
   }
 }
 

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "slfe/sim/cluster.h"
@@ -113,6 +117,124 @@ TEST(ClusterTest, AllReduceMaxAndMin) {
   });
   for (double m : maxes) EXPECT_DOUBLE_EQ(m, 30.0);
   for (double m : mins) EXPECT_DOUBLE_EQ(m, 0.0);
+}
+
+// Every rank of every reduction sees the exact fold of all ranks' values,
+// across long mixed sequences. Back-to-back reductions with no barrier in
+// between are where a slot could be overwritten before a slow rank read it.
+class CollectiveStressTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CollectiveStressTest, MixedCollectivesAreExactOnEveryRank) {
+  const int ranks = GetParam();
+  constexpr int kRounds = 10000;
+  Cluster cluster(ranks);
+  std::atomic<int> failures{0};
+  cluster.Run([&](NodeContext& ctx) {
+    for (int round = 0; round < kRounds; ++round) {
+      // Same op sequence on every rank, irregular enough to put every
+      // ordering of barriers and reductions next to each other.
+      switch ((round * 7 + round / 3) % 4) {
+        case 0:
+          ctx.world->Barrier();
+          break;
+        case 1: {
+          uint64_t mine = static_cast<uint64_t>(round + 1) * (ctx.rank + 1);
+          uint64_t want = static_cast<uint64_t>(round + 1) * ranks *
+                          (ranks + 1) / 2;
+          if (ctx.world->AllReduceSum(ctx.rank, mine) != want) {
+            failures.fetch_add(1);
+          }
+          break;
+        }
+        case 2: {
+          auto value = [round](int r) {
+            return static_cast<double>((r * 37 + round) % 101);
+          };
+          double want = value(0);
+          for (int r = 1; r < ranks; ++r) want = std::max(want, value(r));
+          double got = ctx.world->AllReduce(
+              ctx.rank, value(ctx.rank),
+              [](double a, double b) { return std::max(a, b); });
+          if (got != want) failures.fetch_add(1);
+          break;
+        }
+        default: {
+          double got = ctx.world->AllReduce(
+              ctx.rank, -static_cast<double>(ctx.rank + round),
+              [](double a, double b) { return std::min(a, b); });
+          if (got != -static_cast<double>(ranks - 1 + round)) {
+            failures.fetch_add(1);
+          }
+          break;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, CollectiveStressTest,
+                         ::testing::Values(2, 3, 8));
+
+TEST(ClusterTest, AllReduceFoldsInRankOrder) {
+  // Floating-point addition is not associative: with 2^53 on rank 0, the
+  // rank-order fold ((2^53 + 1) - 2^53) + 1 rounds the first 1 away and
+  // yields exactly 1, while e.g. arrival order 1 + 1 + 2^53 - 2^53 gives 2.
+  // Rank 0 arrives last, so an arrival-order fold would differ.
+  constexpr int kRanks = 4;
+  const double big = std::ldexp(1.0, 53);
+  const double values[kRanks] = {big, 1.0, -big, 1.0};
+  Cluster cluster(kRanks);
+  std::atomic<int> failures{0};
+  cluster.Run([&](NodeContext& ctx) {
+    for (int round = 0; round < 20; ++round) {
+      if (ctx.rank == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      double sum = ctx.world->AllReduce(
+          ctx.rank, values[ctx.rank], [](double a, double b) { return a + b; });
+      if (sum != 1.0) failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ClusterTest, ExchangeVisitsEveryRankInOrder) {
+  struct Record {
+    int rank;
+    double weight;
+  };
+  constexpr int kRanks = 5;
+  Cluster cluster(kRanks);
+  std::atomic<int> failures{0};
+  cluster.Run([&](NodeContext& ctx) {
+    Record mine{ctx.rank, 0.5 * ctx.rank};
+    int expected = 0;
+    ctx.world->Exchange(ctx.rank, mine, [&](int r, const Record& rec) {
+      if (r != expected++ || rec.rank != r || rec.weight != 0.5 * r) {
+        failures.fetch_add(1);
+      }
+    });
+    if (expected != kRanks) failures.fetch_add(1);
+  });
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ClusterTest, EachCollectiveCompletesOneBarrier) {
+  Cluster cluster(3);
+  World& world = cluster.world();
+  uint64_t start = world.barriers_completed();
+  std::vector<uint64_t> deltas(3);
+  cluster.Run([&](NodeContext& ctx) {
+    uint64_t before = ctx.world->barriers_completed();
+    ctx.world->Barrier();
+    ctx.world->AllReduceSum(ctx.rank, 1);
+    ctx.world->AllReduce(ctx.rank, 1.0,
+                         [](double a, double b) { return a + b; });
+    deltas[ctx.rank] = ctx.world->barriers_completed() - before;
+  });
+  for (uint64_t d : deltas) EXPECT_EQ(d, 3u);
+  EXPECT_EQ(world.barriers_completed() - start, 3u);
 }
 
 TEST(ClusterTest, AllToAllMessaging) {
