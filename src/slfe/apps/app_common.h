@@ -2,12 +2,17 @@
 #define SLFE_APPS_APP_COMMON_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "slfe/core/guidance_provider.h"
 #include "slfe/core/rr_guidance.h"
+#include "slfe/core/rr_runners.h"
 #include "slfe/engine/dist_engine.h"
+#include "slfe/engine/dist_graph.h"
 #include "slfe/graph/types.h"
 #include "slfe/obs/trace.h"
+#include "slfe/sim/cluster.h"
 #include "slfe/sim/comm.h"
 
 namespace slfe {
@@ -105,23 +110,84 @@ inline void RecordGuidance(const GuidanceAcquisition& acquisition,
   info->guidance_repaired = acquisition.repaired;
 }
 
-/// Builds EngineOptions from an AppConfig (mode policy is set per app).
-inline EngineOptions MakeEngineOptions(const AppConfig& config) {
-  EngineOptions opt;
-  opt.enable_work_stealing = config.enable_stealing;
-  opt.cost_model = config.cost_model;
-  opt.dense_fraction = config.dense_fraction;
-  return opt;
+namespace app_internal {
+
+/// The cluster plumbing both run helpers share: partitions the graph,
+/// acquires guidance per `policy`, builds a DistEngine<V> with a Runner
+/// over it, and runs `run(runner, ctx)` on every rank of a fresh simulated
+/// cluster. `record(result, &info)` copies rank 0's runner result.
+template <typename V, typename Runner, typename RunFn, typename RecordFn>
+AppRunInfo RunOnCluster(const Graph& graph, const AppConfig& config,
+                        GuidanceRootPolicy policy, const RunFn& run,
+                        const RecordFn& record) {
+  AppRunInfo info;
+  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
+  GuidanceAcquisition guidance = AcquireGuidance(graph, config, policy);
+  RecordGuidance(guidance, &info);
+
+  EngineOptions options;
+  options.enable_work_stealing = config.enable_stealing;
+  options.cost_model = config.cost_model;
+  options.dense_fraction = config.dense_fraction;
+  options.guidance = guidance.guidance;  // null = the Gemini baseline
+  DistEngine<V> engine(dg, options);
+  Runner runner(&engine);
+
+  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
+  cluster.Run([&](sim::NodeContext& ctx) {
+    auto result = run(runner, ctx);
+    if (ctx.rank == 0) {
+      info.stats = result.stats;
+      info.supersteps = result.supersteps;
+      record(result, &info);
+    }
+  });
+  return info;
 }
 
-/// As above, additionally threading acquired guidance into the engine so
-/// runners constructed from the engine pick it up (null guidance = the
-/// Gemini baseline).
-inline EngineOptions MakeEngineOptions(const AppConfig& config,
-                                       const GuidanceAcquisition& guidance) {
-  EngineOptions opt = MakeEngineOptions(config);
-  opt.guidance = guidance.guidance;
-  return opt;
+}  // namespace app_internal
+
+/// Runs a min/max app (paper Table 3's edgeProc with pushFunc/pullFunc)
+/// on the simulated cluster: `seeds` start active, and gather/apply/
+/// scatter are the app's callables as DistEngine::ProcessEdges takes them.
+/// With `config.enable_rr`, MinMaxRunner applies "start late" from
+/// guidance acquired per `policy`.
+template <typename V, typename Gather, typename Apply, typename Scatter>
+AppRunInfo RunMinMaxApp(const Graph& graph, const AppConfig& config,
+                        GuidanceRootPolicy policy,
+                        const std::vector<VertexId>& seeds, V identity,
+                        const Gather& gather, const Apply& apply,
+                        const Scatter& scatter) {
+  return app_internal::RunOnCluster<V, MinMaxRunner<V>>(
+      graph, config, policy,
+      [&](MinMaxRunner<V>& runner, sim::NodeContext& ctx) {
+        return runner.Run(ctx, seeds, identity, gather, apply, scatter);
+      },
+      [](const auto& result, AppRunInfo* info) {
+        info->safety_sweep_updates = result.safety_sweep_updates;
+      });
+}
+
+/// Runs an arithmetic app (edgeProc plus vertexUpdate) on the simulated
+/// cluster: `values` is the propagated property array that `gather` reads
+/// and `vertex_fn(v, acc)` produces (see ArithRunner::Run). With
+/// `config.enable_rr`, ArithRunner applies "finish early" from guidance
+/// acquired per `policy`.
+template <typename V, typename Gather, typename VertexFn>
+AppRunInfo RunArithApp(const Graph& graph, const AppConfig& config,
+                       GuidanceRootPolicy policy, std::vector<V>* values,
+                       V identity, const Gather& gather,
+                       const VertexFn& vertex_fn, uint32_t max_iters,
+                       double epsilon) {
+  return app_internal::RunOnCluster<V, ArithRunner<V>>(
+      graph, config, policy,
+      [&](ArithRunner<V>& runner, sim::NodeContext& ctx) {
+        return runner.Run(ctx, values, identity, gather, vertex_fn,
+                          max_iters, epsilon);
+      },
+      [](const auto& result, AppRunInfo* info) {
+        info->ec_vertices = result.ec_vertices;
+      });
 }
 
 }  // namespace slfe

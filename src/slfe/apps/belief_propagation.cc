@@ -4,8 +4,6 @@
 
 #include "slfe/api/engine_adapters.h"
 #include "slfe/common/logging.h"
-#include "slfe/core/rr_runners.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -18,15 +16,6 @@ BeliefPropagationResult RunBeliefPropagation(const Graph& graph,
   BeliefPropagationResult result;
   result.belief = prior;
 
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSourceVertices);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<float> engine(dg, MakeEngineOptions(config, guidance));
-  ArithRunner<float> runner(&engine);
-
   std::vector<float>& belief = result.belief;
   auto gather = [&belief](float acc, VertexId src, Weight) {
     return acc + std::tanh(belief[src]);
@@ -36,16 +25,10 @@ BeliefPropagationResult RunBeliefPropagation(const Graph& graph,
     return (1.0f - damping) * belief[v] + damping * target;
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, &belief, 0.0f, gather, commit,
-                          config.max_iters, config.epsilon);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.ec_vertices = run.ec_vertices;
-    }
-  });
+  result.info = RunArithApp<float>(graph, config,
+                                   GuidanceRootPolicy::kSourceVertices,
+                                   &belief, 0.0f, gather, commit,
+                                   config.max_iters, config.epsilon);
   return result;
 }
 

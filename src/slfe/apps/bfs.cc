@@ -4,9 +4,7 @@
 #include <cstdint>
 
 #include "slfe/api/engine_adapters.h"
-#include "slfe/core/rr_runners.h"
 #include "slfe/engine/atomic_ops.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -14,15 +12,6 @@ BfsResult RunBfs(const Graph& graph, const AppConfig& config) {
   BfsResult result;
   result.levels.assign(graph.num_vertices(), UINT32_MAX);
   result.levels[config.root] = 0;
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSingleSource);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<uint32_t> engine(dg, MakeEngineOptions(config, guidance));
-  MinMaxRunner<uint32_t> runner(&engine);
 
   std::vector<uint32_t>& levels = result.levels;
   auto gather = [&levels](uint32_t acc, VertexId src, Weight) {
@@ -43,16 +32,9 @@ BfsResult RunBfs(const Graph& graph, const AppConfig& config) {
     return AtomicMin(&levels[dst], lv + 1);
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run =
-        runner.Run(ctx, {config.root}, UINT32_MAX, gather, apply, scatter);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.safety_sweep_updates = run.safety_sweep_updates;
-    }
-  });
+  result.info = RunMinMaxApp<uint32_t>(
+      graph, config, GuidanceRootPolicy::kSingleSource, {config.root},
+      UINT32_MAX, gather, apply, scatter);
   return result;
 }
 

@@ -3,10 +3,8 @@
 #include <numeric>
 
 #include "slfe/api/engine_adapters.h"
-#include "slfe/core/rr_runners.h"
 #include "slfe/gas/gas_apps.h"
 #include "slfe/engine/atomic_ops.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -14,17 +12,8 @@ CcResult RunCc(const Graph& graph, const AppConfig& config) {
   CcResult result;
   result.labels.resize(graph.num_vertices());
   std::iota(result.labels.begin(), result.labels.end(), 0u);
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
   std::vector<VertexId> seeds(graph.num_vertices());
   std::iota(seeds.begin(), seeds.end(), 0u);
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kLocalMinima);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<uint32_t> engine(dg, MakeEngineOptions(config, guidance));
-  MinMaxRunner<uint32_t> runner(&engine);
 
   std::vector<uint32_t>& labels = result.labels;
   auto gather = [&labels](uint32_t acc, VertexId src, Weight) {
@@ -42,15 +31,10 @@ CcResult RunCc(const Graph& graph, const AppConfig& config) {
     return AtomicMin(&labels[dst], AtomicLoad(&labels[src]));
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, seeds, UINT32_MAX, gather, apply, scatter);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.safety_sweep_updates = run.safety_sweep_updates;
-    }
-  });
+  result.info = RunMinMaxApp<uint32_t>(graph, config,
+                                       GuidanceRootPolicy::kLocalMinima,
+                                       seeds, UINT32_MAX, gather, apply,
+                                       scatter);
   return result;
 }
 

@@ -2,8 +2,6 @@
 
 #include "slfe/api/engine_adapters.h"
 #include "slfe/common/logging.h"
-#include "slfe/core/rr_runners.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -14,15 +12,6 @@ HeatSimulationResult RunHeatSimulation(const Graph& graph,
   SLFE_CHECK_EQ(initial.size(), n);
   HeatSimulationResult result;
   result.heat = initial;
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSourceVertices);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<float> engine(dg, MakeEngineOptions(config, guidance));
-  ArithRunner<float> runner(&engine);
 
   std::vector<float>& heat = result.heat;
   auto gather = [&heat](float acc, VertexId src, Weight) {
@@ -38,16 +27,10 @@ HeatSimulationResult RunHeatSimulation(const Graph& graph,
     return (1.0f - alpha) * heat[v] + alpha * avg;
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, &heat, 0.0f, gather, commit, config.max_iters,
-                          config.epsilon);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.ec_vertices = run.ec_vertices;
-    }
-  });
+  result.info = RunArithApp<float>(graph, config,
+                                   GuidanceRootPolicy::kSourceVertices, &heat,
+                                   0.0f, gather, commit, config.max_iters,
+                                   config.epsilon);
   return result;
 }
 

@@ -1,8 +1,6 @@
 #include "slfe/apps/numpaths.h"
 
 #include "slfe/api/engine_adapters.h"
-#include "slfe/core/rr_runners.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -10,15 +8,6 @@ NumPathsResult RunNumPaths(const Graph& graph, const AppConfig& config,
                            uint32_t max_length) {
   VertexId n = graph.num_vertices();
   NumPathsResult result;
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSingleSource);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<double> engine(dg, MakeEngineOptions(config, guidance));
-  ArithRunner<double> runner(&engine);
 
   // walks[v] accumulates the number of root->v walks found so far;
   // `frontier_count` holds walks of exactly the current length.
@@ -35,16 +24,10 @@ NumPathsResult RunNumPaths(const Graph& graph, const AppConfig& config,
     return acc;  // becomes the next frontier count for v
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, &frontier_count, 0.0, gather, vertex_fn,
-                          max_length, /*epsilon=*/1e-12);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.ec_vertices = run.ec_vertices;
-    }
-  });
+  result.info = RunArithApp<double>(graph, config,
+                                    GuidanceRootPolicy::kSingleSource,
+                                    &frontier_count, 0.0, gather, vertex_fn,
+                                    max_length, /*epsilon=*/1e-12);
   result.paths = walks;
   return result;
 }

@@ -1,9 +1,7 @@
 #include "slfe/apps/pr.h"
 
 #include "slfe/api/engine_adapters.h"
-#include "slfe/core/rr_runners.h"
 #include "slfe/gas/gas_apps.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -11,15 +9,6 @@ PrResult RunPr(const Graph& graph, const AppConfig& config) {
   VertexId n = graph.num_vertices();
   PrResult result;
   result.ranks.assign(n, 1.0f);
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSourceVertices);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<float> engine(dg, MakeEngineOptions(config, guidance));
-  ArithRunner<float> runner(&engine);
 
   // The propagated property is the out-contribution rank/out_degree (what a
   // successor gathers); `ranks` keeps the displayed damped rank.
@@ -42,16 +31,10 @@ PrResult RunPr(const Graph& graph, const AppConfig& config) {
     return od > 0 ? rank / static_cast<float>(od) : rank;
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, &contrib, 0.0f, gather, vertex_fn,
-                          config.max_iters, config.epsilon);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.ec_vertices = run.ec_vertices;
-    }
-  });
+  result.info = RunArithApp<float>(graph, config,
+                                   GuidanceRootPolicy::kSourceVertices,
+                                   &contrib, 0.0f, gather, vertex_fn,
+                                   config.max_iters, config.epsilon);
   return result;
 }
 

@@ -2,8 +2,6 @@
 
 #include "slfe/api/engine_adapters.h"
 #include "slfe/common/logging.h"
-#include "slfe/core/rr_runners.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -13,31 +11,16 @@ SpmvResult RunSpmv(const Graph& graph, const std::vector<float>& x,
   SLFE_CHECK_EQ(x.size(), n);
   SpmvResult result;
 
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSourceVertices);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<float> engine(dg, MakeEngineOptions(config, guidance));
-  ArithRunner<float> runner(&engine);
-
   std::vector<float> values = x;  // the propagated vector
   auto gather = [&values](float acc, VertexId src, Weight w) {
     return acc + values[src] * w;
   };
   auto vertex_fn = [](VertexId, float acc) { return acc; };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, &values, 0.0f, gather, vertex_fn, iterations,
-                          /*epsilon=*/0.0);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.ec_vertices = run.ec_vertices;
-    }
-  });
+  result.info = RunArithApp<float>(graph, config,
+                                   GuidanceRootPolicy::kSourceVertices,
+                                   &values, 0.0f, gather, vertex_fn,
+                                   iterations, /*epsilon=*/0.0);
   result.y = values;
   return result;
 }

@@ -3,10 +3,8 @@
 #include <limits>
 
 #include "slfe/api/engine_adapters.h"
-#include "slfe/core/rr_runners.h"
 #include "slfe/engine/atomic_ops.h"
 #include "slfe/gas/gas_apps.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -15,15 +13,6 @@ SsspResult RunSssp(const Graph& graph, const AppConfig& config) {
   SsspResult result;
   result.dist.assign(graph.num_vertices(), kInf);
   result.dist[config.root] = 0.0f;
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSingleSource);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<float> engine(dg, MakeEngineOptions(config, guidance));
-  MinMaxRunner<float> runner(&engine);
 
   std::vector<float>& dist = result.dist;
   auto gather = [&dist](float acc, VertexId src, Weight w) {
@@ -44,15 +33,10 @@ SsspResult RunSssp(const Graph& graph, const AppConfig& config) {
     return AtomicMin(&dist[dst], candidate);
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, {config.root}, kInf, gather, apply, scatter);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.safety_sweep_updates = run.safety_sweep_updates;
-    }
-  });
+  result.info = RunMinMaxApp<float>(graph, config,
+                                    GuidanceRootPolicy::kSingleSource,
+                                    {config.root}, kInf, gather, apply,
+                                    scatter);
   return result;
 }
 

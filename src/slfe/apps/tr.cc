@@ -1,9 +1,7 @@
 #include "slfe/apps/tr.h"
 
 #include "slfe/api/engine_adapters.h"
-#include "slfe/core/rr_runners.h"
 #include "slfe/gas/gas_apps.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -12,15 +10,6 @@ TrResult RunTr(const Graph& graph, const AppConfig& config,
   VertexId n = graph.num_vertices();
   TrResult result;
   result.influence.assign(n, 1.0f);
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSourceVertices);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<float> engine(dg, MakeEngineOptions(config, guidance));
-  ArithRunner<float> runner(&engine);
 
   // Propagated value: (1 + p*influence(u)) / following(u), precomputed per
   // follower u so the gather is a plain sum.
@@ -42,16 +31,10 @@ TrResult RunTr(const Graph& graph, const AppConfig& config,
     return od > 0 ? (1.0f + p * acc) / static_cast<float>(od) : 0.0f;
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, &contrib, 0.0f, gather, vertex_fn,
-                          config.max_iters, config.epsilon);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.ec_vertices = run.ec_vertices;
-    }
-  });
+  result.info = RunArithApp<float>(graph, config,
+                                   GuidanceRootPolicy::kSourceVertices,
+                                   &contrib, 0.0f, gather, vertex_fn,
+                                   config.max_iters, config.epsilon);
   return result;
 }
 

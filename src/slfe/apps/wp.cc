@@ -4,10 +4,8 @@
 #include <limits>
 
 #include "slfe/api/engine_adapters.h"
-#include "slfe/core/rr_runners.h"
 #include "slfe/gas/gas_apps.h"
 #include "slfe/engine/atomic_ops.h"
-#include "slfe/sim/cluster.h"
 
 namespace slfe {
 
@@ -16,15 +14,6 @@ WpResult RunWp(const Graph& graph, const AppConfig& config) {
   WpResult result;
   result.width.assign(graph.num_vertices(), 0.0f);
   result.width[config.root] = kInf;
-
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
-
-  GuidanceAcquisition guidance =
-      AcquireGuidance(graph, config, GuidanceRootPolicy::kSingleSource);
-  RecordGuidance(guidance, &result.info);
-
-  DistEngine<float> engine(dg, MakeEngineOptions(config, guidance));
-  MinMaxRunner<float> runner(&engine);
 
   std::vector<float>& width = result.width;
   auto gather = [&width](float acc, VertexId src, Weight w) {
@@ -43,15 +32,10 @@ WpResult RunWp(const Graph& graph, const AppConfig& config) {
     return AtomicMax(&width[dst], candidate);
   };
 
-  sim::Cluster cluster(config.num_nodes, config.threads_per_node);
-  cluster.Run([&](sim::NodeContext& ctx) {
-    auto run = runner.Run(ctx, {config.root}, 0.0f, gather, apply, scatter);
-    if (ctx.rank == 0) {
-      result.info.stats = run.stats;
-      result.info.supersteps = run.supersteps;
-      result.info.safety_sweep_updates = run.safety_sweep_updates;
-    }
-  });
+  result.info = RunMinMaxApp<float>(graph, config,
+                                    GuidanceRootPolicy::kSingleSource,
+                                    {config.root}, 0.0f, gather, apply,
+                                    scatter);
   return result;
 }
 

@@ -21,23 +21,9 @@ class WorkStealingScheduler {
   static constexpr size_t kMiniChunk = 256;
 
   /// `enable_stealing=false` degrades to a static partition — used by the
-  /// Fig. 10a ablation ("w/o Stealing" bar). `mini_chunk` is the stealing
-  /// granularity in items (0 = the paper's 256): smaller chunks balance
-  /// skewed bands at the price of more fetch-adds per item. Every
-  /// production scheduler uses the default; tests shrink it to put chunk
-  /// boundaries inside small ranges.
-  explicit WorkStealingScheduler(bool enable_stealing = true,
-                                 size_t mini_chunk = kMiniChunk)
-      : enable_stealing_(enable_stealing),
-        mini_chunk_(mini_chunk == 0 ? kMiniChunk : mini_chunk) {}
-
-  void set_enable_stealing(bool enable) { enable_stealing_ = enable; }
-  bool enable_stealing() const { return enable_stealing_; }
-
-  void set_mini_chunk(size_t mini_chunk) {
-    mini_chunk_ = mini_chunk == 0 ? kMiniChunk : mini_chunk;
-  }
-  size_t mini_chunk() const { return mini_chunk_; }
+  /// Fig. 10a ablation ("w/o Stealing" bar).
+  explicit WorkStealingScheduler(bool enable_stealing = true)
+      : enable_stealing_(enable_stealing) {}
 
   /// Band-partitioned variant for work that lives in per-owner buffers
   /// (the partition-aware guidance sweep's per-partition frontiers): band b
@@ -60,7 +46,7 @@ class WorkStealingScheduler {
     std::vector<size_t> chunks(bands);
     for (size_t b = 0; b < bands; ++b) {
       next[b].store(0, std::memory_order_relaxed);
-      chunks[b] = (sizes[b] + mini_chunk_ - 1) / mini_chunk_;
+      chunks[b] = (sizes[b] + kMiniChunk - 1) / kMiniChunk;
     }
 
     pool.ParallelRun([&](size_t w) {
@@ -69,9 +55,9 @@ class WorkStealingScheduler {
         while (true) {
           size_t c = next[band].fetch_add(1, std::memory_order_relaxed);
           if (c >= chunks[band]) break;
-          size_t lo = c * mini_chunk_;
-          size_t hi = lo + mini_chunk_ < sizes[band] ? lo + mini_chunk_
-                                                     : sizes[band];
+          size_t lo = c * kMiniChunk;
+          size_t hi =
+              lo + kMiniChunk < sizes[band] ? lo + kMiniChunk : sizes[band];
           fn(w, band, lo, hi);
           ++done;
         }
@@ -98,7 +84,7 @@ class WorkStealingScheduler {
       const std::function<void(size_t, size_t, size_t)>& fn) const {
     size_t nthreads = pool.num_threads();
     size_t n = end > begin ? end - begin : 0;
-    size_t num_chunks = (n + mini_chunk_ - 1) / mini_chunk_;
+    size_t num_chunks = (n + kMiniChunk - 1) / kMiniChunk;
     std::vector<uint64_t> processed(nthreads, 0);
     if (num_chunks == 0) return processed;
 
@@ -121,8 +107,8 @@ class WorkStealingScheduler {
         while (true) {
           size_t c = next[victim].fetch_add(1, std::memory_order_relaxed);
           if (c >= band_end[victim]) break;
-          size_t lo = begin + c * mini_chunk_;
-          size_t hi = lo + mini_chunk_ < end ? lo + mini_chunk_ : end;
+          size_t lo = begin + c * kMiniChunk;
+          size_t hi = lo + kMiniChunk < end ? lo + kMiniChunk : end;
           fn(w, lo, hi);
           ++done;
         }
@@ -138,7 +124,6 @@ class WorkStealingScheduler {
 
  private:
   bool enable_stealing_;
-  size_t mini_chunk_;
 };
 
 }  // namespace slfe

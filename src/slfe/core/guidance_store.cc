@@ -614,7 +614,9 @@ Status GuidanceStore::Remove(const GuidanceKey& key) {
 }
 
 Result<size_t> GuidanceStore::RemoveGraph(uint64_t graph_fingerprint) {
-  std::string prefix = "g" + Hex(graph_fingerprint) + "_";
+  std::string prefix = "g";
+  prefix += Hex(graph_fingerprint);
+  prefix += '_';
   std::lock_guard<std::mutex> lock(mu_);
   DIR* d = ::opendir(dir_.c_str());
   if (d == nullptr) return Status::IOError("cannot open " + dir_);

@@ -2,7 +2,6 @@
 #define SLFE_CORE_RR_RUNNERS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "slfe/common/logging.h"
@@ -95,7 +94,8 @@ class MinMaxRunner {
   }
 
   /// Collective SPMD entry point. `seeds` are activated before the loop;
-  /// gather/apply/scatter define the app exactly as for DistEngine.
+  /// gather/apply/scatter define the app exactly as for
+  /// DistEngine::ProcessEdges (the runner supplies the pull filter).
   /// Iterates until no vertex is active (paper: while(activeVerts)).
   ///
   /// When RR is enabled, a terminal *safety sweep* re-processes any vertex
@@ -103,10 +103,10 @@ class MinMaxRunner {
   /// whole run — possible when the guidance roots only approximate the
   /// app's propagation sources); the loop resumes if the sweep finds an
   /// update, so the final values always match the baseline fixpoint.
+  template <typename Gather, typename Apply, typename Scatter>
   RunResult Run(sim::NodeContext& ctx, const std::vector<VertexId>& seeds,
-                V identity, const typename DistEngine<V>::GatherFn& gather,
-                const typename DistEngine<V>::ApplyFn& apply,
-                const typename DistEngine<V>::ScatterFn& scatter) {
+                V identity, const Gather& gather, const Apply& apply,
+                const Scatter& scatter) {
     RunResult result;
     const bool rr = guidance_ != nullptr;
     engine_->BeginRun(ctx);
@@ -124,43 +124,43 @@ class MinMaxRunner {
     uint64_t active = engine_->PromoteActiveSet(ctx);
 
     uint32_t ruler = 0;  // the single Ruler: the iteration counter
-    typename DistEngine<V>::PullFilterFn filter = nullptr;
+    auto step = [&](const auto& filter, const Mode* forced_mode = nullptr) {
+      return engine_->ProcessEdges(ctx, identity, gather, apply, scatter,
+                                   filter, forced_mode);
+    };
 
     while (true) {
       while (active > 0) {
         ++ruler;
-        if (rr) {
+        if (!rr) {
+          active = step(ConstantFilter<PullAction::kGatherActive>{});
+        } else if (variant_ == RRVariant::kGatherAllAtStart) {
+          // pullEdge_singleRuler: delay dst until Ruler reaches lastIter
+          // ("start late").
+          active = step([this, ruler](VertexId dst) {
+            if (ruler < guidance_->last_iter(dst)) {
+              return PullAction::kSkip;
+            }
+            if (started_[dst] == 0) {
+              started_[dst] = 1;
+              return PullAction::kGatherAll;
+            }
+            return PullAction::kGatherActive;
+          });
+        } else {
           if (variant_ == RRVariant::kDirtyPush) {
             SetIterationForDirtyPolicy(ctx, ruler);
           }
-          // pullEdge_singleRuler: delay dst until Ruler reaches lastIter
-          // ("start late").
-          uint32_t current = ruler;
-          if (variant_ == RRVariant::kGatherAllAtStart) {
-            filter = [this, current](VertexId dst) {
-              if (current < guidance_->last_iter(dst)) {
-                return PullAction::kSkip;
-              }
-              if (started_[dst] == 0) {
-                started_[dst] = 1;
-                return PullAction::kGatherAll;
-              }
-              return PullAction::kGatherActive;
-            };
-          } else {
-            // Push-based recovery variants gather incrementally; the
-            // transition push re-delivers what delayed vertices missed
-            // (paper §3.3: "SLFE leverages the push to ensure the
-            // application's correctness").
-            filter = [this, current](VertexId dst) {
-              return current >= guidance_->last_iter(dst)
-                         ? PullAction::kGatherActive
-                         : PullAction::kSkip;
-            };
-          }
+          // Push-based recovery variants gather incrementally; the
+          // transition push re-delivers what delayed vertices missed
+          // (paper §3.3: "SLFE leverages the push to ensure the
+          // application's correctness").
+          active = step([this, ruler](VertexId dst) {
+            return ruler >= guidance_->last_iter(dst)
+                       ? PullAction::kGatherActive
+                       : PullAction::kSkip;
+          });
         }
-        active = engine_->ProcessEdges(ctx, identity, gather, apply, scatter,
-                                       filter);
         ++result.supersteps;
       }
       if (!rr) break;
@@ -174,8 +174,7 @@ class MinMaxRunner {
       // reclassified as verification.
       EngineStats before = engine_->FinishRun(ctx);
       const Mode kForcePull = Mode::kPull;
-      active = engine_->ProcessEdges(
-          ctx, identity, gather, apply, scatter,
+      active = step(
           [this](VertexId dst) {
             if (variant_ == RRVariant::kGatherAllAtStart) {
               // Sweep only vertices whose one-time unlock gather has not
@@ -191,7 +190,7 @@ class MinMaxRunner {
             // may have missed a pull-delivered update; sweep them all.
             return PullAction::kGatherAll;
           },
-          /*gather_all=*/true, &kForcePull);
+          &kForcePull);
       ++result.supersteps;
       ++ruler;
       EngineStats after = engine_->FinishRun(ctx);
@@ -285,24 +284,22 @@ class ArithRunner {
   void set_min_stable_rounds(uint32_t rounds) { min_stable_rounds_ = rounds; }
   uint32_t min_stable_rounds() const { return min_stable_rounds_; }
 
-  /// One user-defined vertex function applied after each propagation
-  /// superstep (the paper's vertexUpdate). Receives the vertex and the
-  /// gathered accumulator; returns the vertex's new committed value.
-  using VertexFn = std::function<V(VertexId, V)>;
-
   /// Collective SPMD entry point.
   ///
   /// Per iteration: (1) pull-gather accumulators into `accum` for every
-  /// non-EC vertex; (2) vertexUpdate commits values via `vertex_fn` and
-  /// maintains the stability rulers. Stops after `max_iters` iterations or
-  /// when the global max |delta| falls below `epsilon`.
+  /// non-EC vertex, `gather` as for DistEngine::ProcessEdges; (2)
+  /// vertexUpdate commits values and maintains the stability rulers.
+  /// `vertex_fn(v, acc) -> V` is the paper's vertexFunc: it receives the
+  /// vertex and its gathered accumulator and returns the vertex's new
+  /// committed value. Stops after `max_iters` iterations or when the
+  /// global sum of |delta| falls below `epsilon`.
   ///
   /// `values` is the application's property array (shared, size |V|);
   /// `gather` reads it. EC vertices retain their cached value.
-  RunResult Run(sim::NodeContext& ctx, std::vector<V>* values,
-                V identity, const typename DistEngine<V>::GatherFn& gather,
-                const VertexFn& vertex_fn, uint32_t max_iters,
-                double epsilon) {
+  template <typename Gather, typename VertexFn>
+  RunResult Run(sim::NodeContext& ctx, std::vector<V>* values, V identity,
+                const Gather& gather, const VertexFn& vertex_fn,
+                uint32_t max_iters, double epsilon) {
     RunResult result;
     VertexId n = engine_->dist_graph().graph().num_vertices();
     SLFE_CHECK_EQ(values->size(), n);
@@ -320,24 +317,29 @@ class ArithRunner {
     uint64_t active = engine_->PromoteActiveSet(ctx);
     (void)active;
 
-    typename DistEngine<V>::PullFilterFn filter = nullptr;
-    if (rr) {
-      // pullEdge_multiRuler: skip early-converged vertices outright.
-      filter = [this](VertexId dst) {
-        return frozen_[dst] == 0 ? PullAction::kGatherAll : PullAction::kSkip;
-      };
-    }
+    // Propagation phase: gather into accum (apply stores, no activation
+    // semantics needed — arithmetic apps run every non-EC vertex). The
+    // engine always pulls, so scatter never runs.
+    auto store_accum = [this](VertexId dst, V acc) {
+      accum_[dst] = acc;
+      return true;  // keep the whole graph active
+    };
+    auto no_scatter = [](VertexId, VertexId, Weight) { return false; };
+    auto propagate = [&](const auto& filter) {
+      engine_->ProcessEdges(ctx, identity, gather, store_accum, no_scatter,
+                            filter);
+    };
 
     for (uint32_t iter = 0; iter < max_iters; ++iter) {
-      // Propagation phase: gather into accum (apply stores, no activation
-      // semantics needed — arithmetic apps run every non-EC vertex).
-      engine_->ProcessEdges(
-          ctx, identity, gather,
-          [this](VertexId dst, V acc) {
-            accum_[dst] = acc;
-            return true;  // keep the whole graph active
-          },
-          /*scatter=*/nullptr, filter, /*gather_all=*/true);
+      if (rr) {
+        // pullEdge_multiRuler: skip early-converged vertices outright.
+        propagate([this](VertexId dst) {
+          return frozen_[dst] == 0 ? PullAction::kGatherAll
+                                   : PullAction::kSkip;
+        });
+      } else {
+        propagate(ConstantFilter<PullAction::kGatherAll>{});
+      }
       ++result.supersteps;
 
       // vertexUpdate phase (Algorithm 5): commit values, track stability,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "slfe/common/bitmap.h"
+#include "slfe/common/direction.h"
 #include "slfe/common/logging.h"
 #include "slfe/common/timer.h"
 #include "slfe/common/work_stealing.h"
@@ -28,6 +29,14 @@ enum class PullAction {
   kGatherActive,  ///< aggregate contributions of active in-neighbors only
   kGatherAll,     ///< aggregate ALL in-neighbors (first unlocked iteration,
                   ///< arithmetic apps, safety sweep)
+};
+
+/// Pull filter taking the same action for every destination: what runs
+/// without RR guidance pass (kGatherActive for min/max apps, kGatherAll for
+/// arithmetic apps).
+template <PullAction kAction>
+struct ConstantFilter {
+  PullAction operator()(VertexId) const { return kAction; }
 };
 
 /// How ProcessEdges chooses the direction each superstep.
@@ -59,9 +68,9 @@ struct EngineOptions {
   /// Virtual network cost model for the simulated cluster.
   sim::CostModel cost_model;
   /// RR guidance for this engine's runs, typically acquired through the
-  /// GuidanceProvider (apps thread it here via MakeEngineOptions). Runners
-  /// constructed without explicit guidance read it off the engine; null =
-  /// the Gemini baseline. Shared ownership keeps the guidance alive even
+  /// GuidanceProvider (apps thread it here via RunMinMaxApp/RunArithApp).
+  /// Runners constructed without explicit guidance read it off the engine;
+  /// null = the Gemini baseline. Shared ownership keeps the guidance alive even
   /// if the provider's cache evicts it mid-run.
   std::shared_ptr<const RRGuidance> guidance;
 };
@@ -113,8 +122,9 @@ struct EngineStats {
 ///
 /// The accumulator type V parameterizes pull-mode gathering. Vertex
 /// property arrays are owned by the application and captured in the
-/// gather/apply/scatter lambdas; cross-node writes (push mode) must go
-/// through the AtomicMin/AtomicMax/AtomicAdd helpers.
+/// gather/apply/scatter callables; cross-node writes (push mode) must go
+/// through the AtomicMin/AtomicMax/AtomicAdd helpers. The callables are
+/// template parameters of ProcessEdges, so they inline into the edge loops.
 ///
 /// A steady superstep costs two barriers: one after the compute phase, and
 /// one inside the fused end-of-step reduction (see ProcessEdges). Each rank
@@ -123,18 +133,6 @@ struct EngineStats {
 template <typename V>
 class DistEngine {
  public:
-  /// gather(acc, src, weight) -> new accumulator (pull mode, per in-edge)
-  using GatherFn = std::function<V(V, VertexId, Weight)>;
-  /// apply(dst, acc) -> true iff dst's property changed (pull mode commit)
-  using ApplyFn = std::function<bool(VertexId, V)>;
-  /// scatter(src, dst, weight) -> true iff dst's property changed (push)
-  using ScatterFn = std::function<bool(VertexId, VertexId, Weight)>;
-  /// pull_filter(dst) -> what to do with dst this superstep (RR hook).
-  /// Called exactly once per destination per pull superstep, from the one
-  /// worker thread owning dst's mini-chunk, so it may update per-vertex
-  /// bookkeeping without synchronization.
-  using PullFilterFn = std::function<PullAction(VertexId)>;
-
   DistEngine(const DistGraph& dist_graph, EngineOptions options)
       : dg_(dist_graph),
         options_(options),
@@ -184,10 +182,11 @@ class DistEngine {
                      const std::vector<VertexId>& seeds) {
     const VertexRange& r = dg_.range(ctx.rank);
     Bitmap& next = Next(ctx.rank);
+    const bool track_dirty = TracksDirty();
     for (VertexId v : seeds) {
       if (r.Contains(v)) {
         next.SetBit(v);
-        MarkDirty(v);
+        if (track_dirty) MarkDirty(v);
       }
     }
     ctx.world->Barrier();
@@ -197,9 +196,10 @@ class DistEngine {
   void ActivateAll(sim::NodeContext& ctx) {
     const VertexRange& r = dg_.range(ctx.rank);
     Bitmap& next = Next(ctx.rank);
+    const bool track_dirty = TracksDirty();
     for (VertexId v = r.begin; v < r.end; ++v) {
       next.SetBit(v);
-      MarkDirty(v);
+      if (track_dirty) MarkDirty(v);
     }
     ctx.world->Barrier();
   }
@@ -210,8 +210,9 @@ class DistEngine {
   /// update is dirty — the conservative rule. The RR runner installs
   /// `iter + 1 < max(lastIter of out-neighbors)` each superstep: if all
   /// successors are already unlocked they gather the value next iteration
-  /// and nothing is unseen. Call before seeding and per superstep; not
-  /// thread-safe against a running ProcessEdges.
+  /// and nothing is unseen. Consulted only under kDirty reactivation. Call
+  /// before seeding and per superstep; not thread-safe against a running
+  /// ProcessEdges.
   void SetDirtyPolicy(std::function<bool(VertexId)> policy) {
     dirty_policy_ = std::move(policy);
   }
@@ -226,26 +227,34 @@ class DistEngine {
   }
 
   /// Collective: one superstep. Picks push or pull per the mode policy,
-  /// runs the user functions over the graph, applies RR filtering in pull
+  /// runs the app's callables over the graph, applies RR filtering in pull
   /// mode, charges simulated communication, then promotes the active set
   /// and returns the number of globally active vertices for the next
-  /// superstep.
+  /// superstep. The callables:
   ///
-  /// `gather_all`: when true, pull mode aggregates over ALL in-neighbors of
-  /// a processed destination rather than only active ones. Required by
-  /// "start late" (a delayed vertex must see every predecessor, paper §3.2)
-  /// and by arithmetic apps (which have no meaningful active sources).
+  ///   gather(acc, src, weight) -> V       pull: fold one in-edge into acc
+  ///   apply(dst, acc) -> bool             pull: commit; true iff dst changed
+  ///   scatter(src, dst, weight) -> bool   push: true iff dst changed
+  ///   pull_filter(dst) -> PullAction      pull: what to do with dst (RR hook)
+  ///
+  /// pull_filter is called exactly once per destination per pull superstep,
+  /// from the one worker thread owning dst's mini-chunk, so it may update
+  /// per-vertex bookkeeping without synchronization. kGatherAll aggregates
+  /// over ALL in-neighbors rather than only active ones: "start late" needs
+  /// it (a delayed vertex must see every predecessor, paper §3.2), and so
+  /// do arithmetic apps (no meaningful active sources). Runs without
+  /// guidance pass a ConstantFilter.
   /// `forced_mode` overrides the mode policy for this superstep (the RR
   /// verification sweep must pull even with an empty active set).
   ///
   /// Barriers: one after the compute phase and one in the fused reduction
   /// of {comm cost, computations, active vertices, active out-edges}; a
   /// pull->push transition with reactivation adds one more.
+  template <typename Gather, typename Apply, typename Scatter,
+            typename Filter>
   uint64_t ProcessEdges(sim::NodeContext& ctx, V identity,
-                        const GatherFn& gather, const ApplyFn& apply,
-                        const ScatterFn& scatter,
-                        const PullFilterFn& pull_filter = nullptr,
-                        bool gather_all = false,
+                        const Gather& gather, const Apply& apply,
+                        const Scatter& scatter, const Filter& pull_filter,
                         const Mode* forced_mode = nullptr) {
     RankState& rs = ranks_[ctx.rank];
     Mode mode = forced_mode != nullptr ? *forced_mode : DecideMode(rs);
@@ -274,9 +283,8 @@ class DistEngine {
     uint64_t local_msgs = 0, local_bytes = 0;
 
     if (mode == Mode::kPull) {
-      RunPull(ctx, identity, gather, apply, pull_filter, gather_all,
-              &local_comp, &local_upd, &local_skip, &local_msgs,
-              &local_bytes);
+      RunPull(ctx, identity, gather, apply, pull_filter, &local_comp,
+              &local_upd, &local_skip, &local_msgs, &local_bytes);
     } else {
       RunPush(ctx, scatter, &local_comp, &local_upd, &local_msgs,
               &local_bytes);
@@ -414,6 +422,13 @@ class DistEngine {
     return total;
   }
 
+  /// Dirty bits are read only by kDirty reactivation; every other mode
+  /// skips their atomic updates.
+  bool TracksDirty() const {
+    return options_.reactivation == TransitionReactivation::kDirty;
+  }
+
+  /// Call only when TracksDirty().
   void MarkDirty(VertexId v) {
     if (!dirty_policy_ || dirty_policy_(v)) dirty_.SetBit(v);
   }
@@ -428,15 +443,17 @@ class DistEngine {
       case ModePolicy::kAdaptive:
         break;
     }
-    double threshold =
-        options_.dense_fraction * static_cast<double>(dg_.graph().num_edges());
-    return rs.active_edges > threshold ? Mode::kPull : Mode::kPush;
+    return ChooseDense(rs.active_edges, dg_.graph().num_edges(),
+                       options_.dense_fraction)
+               ? Mode::kPull
+               : Mode::kPush;
   }
 
-  void RunPull(sim::NodeContext& ctx, V identity, const GatherFn& gather,
-               const ApplyFn& apply, const PullFilterFn& pull_filter,
-               bool gather_all, uint64_t* comp, uint64_t* upd,
-               uint64_t* skip, uint64_t* msgs, uint64_t* bytes) {
+  template <typename Gather, typename Apply, typename Filter>
+  void RunPull(sim::NodeContext& ctx, V identity, const Gather& gather,
+               const Apply& apply, const Filter& pull_filter, uint64_t* comp,
+               uint64_t* upd, uint64_t* skip, uint64_t* msgs,
+               uint64_t* bytes) {
     const Csr& in = dg_.graph().in();
     const VertexRange& r = dg_.range(ctx.rank);
     const Bitmap& cur = Cur(ctx.rank);
@@ -446,16 +463,14 @@ class DistEngine {
       uint64_t comp = 0, upd = 0, skip = 0;
     };
     std::vector<ThreadCounters> tc(nthreads);
+    const bool track_dirty = TracksDirty();
 
     auto chunks = scheduler_.Run(
         *ctx.pool, r.begin, r.end, [&](size_t worker, size_t lo, size_t hi) {
           ThreadCounters& c = tc[worker];
           for (size_t dv = lo; dv < hi; ++dv) {
             VertexId dst = static_cast<VertexId>(dv);
-            PullAction action = pull_filter
-                                    ? pull_filter(dst)
-                                    : (gather_all ? PullAction::kGatherAll
-                                                  : PullAction::kGatherActive);
+            PullAction action = pull_filter(dst);
             if (action == PullAction::kSkip) {
               c.skip += in.degree(dst);
               continue;
@@ -472,7 +487,7 @@ class DistEngine {
             }
             if (any && apply(dst, acc)) {
               next.SetBit(dst);
-              MarkDirty(dst);
+              if (track_dirty) MarkDirty(dst);
               ++c.upd;
             }
           }
@@ -497,9 +512,9 @@ class DistEngine {
     }
   }
 
-  void RunPush(sim::NodeContext& ctx, const ScatterFn& scatter,
-               uint64_t* comp, uint64_t* upd, uint64_t* msgs,
-               uint64_t* bytes) {
+  template <typename Scatter>
+  void RunPush(sim::NodeContext& ctx, const Scatter& scatter, uint64_t* comp,
+               uint64_t* upd, uint64_t* msgs, uint64_t* bytes) {
     const Csr& out = dg_.graph().out();
     const VertexRange& r = dg_.range(ctx.rank);
     const Bitmap& cur = Cur(ctx.rank);
@@ -509,6 +524,7 @@ class DistEngine {
       uint64_t comp = 0, upd = 0, vals = 0;
     };
     std::vector<ThreadCounters> tc(nthreads);
+    const bool track_dirty = TracksDirty();
 
     auto chunks = scheduler_.Run(
         *ctx.pool, r.begin, r.end, [&](size_t worker, size_t lo, size_t hi) {
@@ -518,7 +534,7 @@ class DistEngine {
             if (!cur.TestBit(src)) continue;
             // Pushing delivers src's current value to every out-neighbor,
             // so src is no longer "dirty" (unseen) afterwards.
-            dirty_.ResetBit(src);
+            if (track_dirty) dirty_.ResetBit(src);
             if (out.degree(src) == 0) continue;
             c.vals += dg_.MirrorNodeCount(src);
             for (EdgeId e = out.begin(src); e < out.end(src); ++e) {
@@ -526,7 +542,7 @@ class DistEngine {
               ++c.comp;
               if (scatter(src, dst, out.weight(e))) {
                 next.SetBit(dst);
-                MarkDirty(dst);
+                if (track_dirty) MarkDirty(dst);
                 ++c.upd;
               }
             }

@@ -87,9 +87,6 @@ struct GasStats {
 template <typename V>
 class GasEngine {
  public:
-  using GatherFn = std::function<V(V, VertexId, Weight)>;
-  /// apply(v, acc) -> changed?
-  using ApplyFn = std::function<bool(VertexId, V)>;
   /// Invoked after every superstep (barrier point). Arithmetic apps use it
   /// to refresh the propagated contribution snapshot synchronously.
   using SuperstepFn = std::function<void(uint32_t)>;
@@ -105,11 +102,14 @@ class GasEngine {
   uint32_t replication(VertexId v) const { return replication_[v]; }
 
   /// Runs supersteps until no vertex is active or `max_iters` is reached.
-  /// `initially_active`: seed set. Gather uses identity + gather over all
-  /// in-edges; apply commits; scatter activates all out-neighbors of
-  /// changed vertices (PowerGraph's signal()).
+  /// `initially_active`: seed set. Gather folds identity with
+  /// `gather(acc, src, weight) -> V` over all in-edges; `apply(v, acc) ->
+  /// bool` commits and reports a change; scatter activates all
+  /// out-neighbors of changed vertices (PowerGraph's signal()). The
+  /// callables take the same shapes as DistEngine::ProcessEdges'.
+  template <typename Gather, typename Apply>
   GasStats Run(const std::vector<VertexId>& initially_active, V identity,
-               const GatherFn& gather, const ApplyFn& apply,
+               const Gather& gather, const Apply& apply,
                uint32_t max_iters = UINT32_MAX,
                const SuperstepFn& end_superstep = nullptr) {
     GasStats stats;

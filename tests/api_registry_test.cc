@@ -24,6 +24,10 @@
 namespace slfe::api {
 namespace {
 
+// The graph every session test registers. Assigning it as a std::string
+// (not a literal) also keeps gcc 12 clear of a -Wrestrict false positive.
+const std::string kGraph = "g";
+
 Graph Rmat(VertexId n, EdgeId m, uint64_t seed, bool weighted = true) {
   RmatOptions opt;
   opt.num_vertices = n;
@@ -144,7 +148,7 @@ TEST(AppRegistryTest, DuplicateAndEmptyRegistrationsRejected) {
 // and the guided run agrees with the unguided baseline per pair.
 TEST(SessionTest, EveryDeclaredPairRunsAndGuidedAgreesWithBaseline) {
   Session session;
-  ASSERT_TRUE(session.AddGraph("g", Rmat(300, 2400, 21)).ok());
+  ASSERT_TRUE(session.AddGraph(kGraph, Rmat(300, 2400, 21)).ok());
 
   size_t pairs = 0;
   for (const AppDescriptor* app : AppRegistry::Global().Apps()) {
@@ -153,7 +157,7 @@ TEST(SessionTest, EveryDeclaredPairRunsAndGuidedAgreesWithBaseline) {
       AppRequest request;
       request.app = app->name;
       request.engine = EngineName(engine);
-      request.graph = "g";
+      request.graph = kGraph;
       request.max_iters = 30;
 
       request.enable_rr = false;
@@ -189,10 +193,10 @@ TEST(SessionTest, EveryDeclaredPairRunsAndGuidedAgreesWithBaseline) {
 // their dist counterparts on the summary scalar.
 TEST(SessionTest, PreviouslyUnreachablePairsMatchDistResults) {
   Session session;
-  ASSERT_TRUE(session.AddGraph("g", Rmat(400, 3200, 33)).ok());
+  ASSERT_TRUE(session.AddGraph(kGraph, Rmat(400, 3200, 33)).ok());
 
   AppRequest request;
-  request.graph = "g";
+  request.graph = kGraph;
   request.app = "sssp";
   request.engine = "dist";
   AppOutcome dist_sssp = session.Run(request);
@@ -217,10 +221,10 @@ TEST(SessionTest, PreviouslyUnreachablePairsMatchDistResults) {
 
 TEST(SessionTest, ValidationErrorsAreRegistryDerived) {
   Session session;
-  ASSERT_TRUE(session.AddGraph("g", Rmat(200, 1500, 40)).ok());
+  ASSERT_TRUE(session.AddGraph(kGraph, Rmat(200, 1500, 40)).ok());
 
   AppRequest request;
-  request.graph = "g";
+  request.graph = kGraph;
   request.app = "nosuchapp";
   Status unknown_app = session.Validate(request);
   EXPECT_EQ(unknown_app.code(), StatusCode::kInvalidArgument);
@@ -241,7 +245,7 @@ TEST(SessionTest, ValidationErrorsAreRegistryDerived) {
   request.graph = "missing";
   EXPECT_EQ(session.Validate(request).code(), StatusCode::kNotFound);
 
-  request.graph = "g";
+  request.graph = kGraph;
   request.root = 1u << 30;  // out of range for a single-source app
   EXPECT_EQ(session.Validate(request).code(), StatusCode::kInvalidArgument);
 }
@@ -273,23 +277,23 @@ TEST(SessionTest, GraphRequirementsEnforcedPerSessionPolicy) {
     SessionOptions no_auto;
     no_auto.auto_symmetrize = false;
     Session strict_session(no_auto);
-    ASSERT_TRUE(strict_session.AddGraph("g", Rmat(200, 1500, 42)).ok());
+    ASSERT_TRUE(strict_session.AddGraph(kGraph, Rmat(200, 1500, 42)).ok());
     AppRequest cc_request;
     cc_request.app = "cc";
-    cc_request.graph = "g";
+    cc_request.graph = kGraph;
     Status rejected = strict_session.Validate(cc_request);
     EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(rejected.message().find("symmetric"), std::string::npos);
 
     Session session;
-    ASSERT_TRUE(session.AddGraph("g", Rmat(200, 1500, 42)).ok());
+    ASSERT_TRUE(session.AddGraph(kGraph, Rmat(200, 1500, 42)).ok());
     AppOutcome outcome = session.Run(cc_request);
     ASSERT_TRUE(outcome.status.ok());
     // ResolveGraph hands back the symmetrized variant (same |V|, more
     // directed edges), not the registered graph.
     auto resolved = session.ResolveGraph(cc_request);
     ASSERT_TRUE(resolved.ok());
-    std::shared_ptr<const Graph> base = session.GetGraph("g");
+    std::shared_ptr<const Graph> base = session.GetGraph(kGraph);
     EXPECT_EQ(resolved.value()->num_vertices(), base->num_vertices());
     EXPECT_GT(resolved.value()->num_edges(), base->num_edges());
     // The variant is cached: resolving twice returns the same object.
@@ -301,10 +305,10 @@ TEST(SessionTest, GraphRequirementsEnforcedPerSessionPolicy) {
 
 TEST(SessionTest, RepeatedGuidedRunsShareTheSessionProvider) {
   Session session;
-  ASSERT_TRUE(session.AddGraph("g", Rmat(300, 2400, 50)).ok());
+  ASSERT_TRUE(session.AddGraph(kGraph, Rmat(300, 2400, 50)).ok());
   AppRequest request;
   request.app = "sssp";
-  request.graph = "g";
+  request.graph = kGraph;
   request.enable_rr = true;
 
   AppOutcome first = session.Run(request);
@@ -319,7 +323,7 @@ TEST(SessionTest, RepeatedGuidedRunsShareTheSessionProvider) {
   EXPECT_EQ(session.provider().stats().generations, 1u);
 
   // Duplicate graph names are rejected, like JobService::RegisterGraph.
-  EXPECT_EQ(session.AddGraph("g", Rmat(100, 700, 51)).code(),
+  EXPECT_EQ(session.AddGraph(kGraph, Rmat(100, 700, 51)).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -328,7 +332,7 @@ TEST(SessionTest, RepeatedGuidedRunsShareTheSessionProvider) {
 // labels. A sparse graph keeps many components, isolated vertices included.
 TEST(SessionTest, CcSummaryCountsDistinctLabelsOnEveryEngine) {
   Session session;
-  ASSERT_TRUE(session.AddGraph("g", Rmat(400, 300, 52)).ok());
+  ASSERT_TRUE(session.AddGraph(kGraph, Rmat(400, 300, 52)).ok());
   const AppDescriptor* cc = AppRegistry::Global().Find("cc");
   ASSERT_NE(cc, nullptr);
   for (Engine engine : cc->engines()) {
@@ -338,7 +342,7 @@ TEST(SessionTest, CcSummaryCountsDistinctLabelsOnEveryEngine) {
       AppRequest request;
       request.app = "cc";
       request.engine = EngineName(engine);
-      request.graph = "g";
+      request.graph = kGraph;
       request.enable_rr = rr;
       AppOutcome out = session.Run(request);
       ASSERT_TRUE(out.status.ok()) << out.status.ToString();

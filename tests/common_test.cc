@@ -299,55 +299,25 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 255, 256, 257, 10000),
                        ::testing::Bool()));
 
-TEST(WorkStealingTest, MiniChunkKnobChangesGranularityNotCoverage) {
-  // The tunable granularity (ROADMAP multicore-crossover knob) must change
-  // only how work is chopped, never what gets processed.
-  ThreadPool pool(3);
-  for (size_t mini : {size_t{1}, size_t{7}, size_t{256}, size_t{1024}}) {
-    WorkStealingScheduler scheduler(true, mini);
-    EXPECT_EQ(scheduler.mini_chunk(), mini);
-    constexpr size_t kElements = 1000;
-    std::vector<std::atomic<int>> hits(kElements);
-    auto chunks = scheduler.Run(pool, 0, kElements,
-                                [&](size_t, size_t lo, size_t hi) {
-                                  for (size_t i = lo; i < hi; ++i) {
-                                    hits[i].fetch_add(1);
-                                  }
-                                });
-    for (size_t i = 0; i < kElements; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "mini=" << mini << " element " << i;
-    }
-    uint64_t total = 0;
-    for (uint64_t c : chunks) total += c;
-    EXPECT_EQ(total, (kElements + mini - 1) / mini) << "mini=" << mini;
-  }
-}
-
-TEST(WorkStealingTest, MiniChunkZeroFallsBackToDefault) {
-  WorkStealingScheduler scheduler(true, 0);
-  EXPECT_EQ(scheduler.mini_chunk(), WorkStealingScheduler::kMiniChunk);
-  scheduler.set_mini_chunk(32);
-  EXPECT_EQ(scheduler.mini_chunk(), 32u);
-  scheduler.set_mini_chunk(0);
-  EXPECT_EQ(scheduler.mini_chunk(), WorkStealingScheduler::kMiniChunk);
-}
-
 TEST(WorkStealingTest, RunBandsHonorsMiniChunk) {
+  // Band sizes straddle the mini-chunk: a band over two chunks, an empty
+  // band, one just over, one exactly at, and one single item.
+  constexpr size_t kChunk = WorkStealingScheduler::kMiniChunk;
   ThreadPool pool(4);
-  WorkStealingScheduler scheduler(true, 16);
-  std::vector<size_t> sizes = {40, 0, 17, 300};
+  WorkStealingScheduler scheduler(true);
+  std::vector<size_t> sizes = {600, 0, 257, 256, 1};
   std::vector<std::vector<std::atomic<int>>> hits;
   for (size_t s : sizes) hits.emplace_back(s);
   auto chunks = scheduler.RunBands(
       pool, sizes, [&](size_t, size_t band, size_t lo, size_t hi) {
-        EXPECT_LE(hi - lo, 16u);
+        EXPECT_LE(hi - lo, kChunk);
         for (size_t i = lo; i < hi; ++i) hits[band][i].fetch_add(1);
       });
   uint64_t total = 0;
   for (uint64_t c : chunks) total += c;
   uint64_t want_chunks = 0;
   for (size_t b = 0; b < sizes.size(); ++b) {
-    want_chunks += (sizes[b] + 15) / 16;
+    want_chunks += (sizes[b] + kChunk - 1) / kChunk;
     for (size_t i = 0; i < sizes[b]; ++i) {
       ASSERT_EQ(hits[b][i].load(), 1) << "band " << b << " item " << i;
     }

@@ -1,12 +1,17 @@
 // Tests for the distributed engine layer: DistGraph mirror accounting,
 // mode selection, activation semantics, counters, the transition
-// reactivation rules, and communication accounting.
+// reactivation rules, communication accounting, and the callback contract
+// (callables are taken as they are, never type-erased).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "slfe/core/rr_runners.h"
 #include "slfe/engine/atomic_ops.h"
 #include "slfe/engine/dist_engine.h"
 #include "slfe/engine/dist_graph.h"
@@ -112,6 +117,14 @@ TEST(DistGraphTest, OwnerLookupConsistentWithRanges) {
 
 // ------------------------------------------------------------ DistEngine
 
+// Pull-mode callables for runs whose policy never pulls, and the reverse:
+// ProcessEdges takes every callable, these are never invoked.
+constexpr auto kNoGather = [](uint32_t acc, VertexId, Weight) { return acc; };
+constexpr auto kNoApply = [](VertexId, uint32_t) { return false; };
+constexpr auto kNoScatter = [](VertexId, VertexId, Weight) { return false; };
+// The filter runs without guidance use: gather from active sources only.
+constexpr ConstantFilter<PullAction::kGatherActive> kActiveOnly{};
+
 // Minimal BFS over the engine to exercise collectives deterministically.
 // V is the engine's value type: uint32_t levels for BFS, float for the
 // SSSP-shaped tests.
@@ -156,7 +169,8 @@ TEST(DistEngineTest, BfsViaProcessEdges) {
             uint32_t lv = AtomicLoad(&level[src]);
             if (lv == UINT32_MAX) return false;
             return AtomicMin(&level[dst], lv + 1);
-          });
+          },
+          kActiveOnly);
     }
     h.engine.FinishRun(ctx);
   });
@@ -181,10 +195,11 @@ TEST(DistEngineTest, AlwaysPushPolicyNeverPulls) {
     uint64_t active = h.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = h.engine.ProcessEdges(
-          ctx, UINT32_MAX, nullptr, nullptr,
+          ctx, UINT32_MAX, kNoGather, kNoApply,
           [&level](VertexId src, VertexId dst, Weight) {
             return AtomicMin(&level[dst], AtomicLoad(&level[src]) + 1);
-          });
+          },
+          kActiveOnly);
     }
     h.engine.FinishRun(ctx);
   });
@@ -219,7 +234,7 @@ TEST(DistEngineTest, AlwaysPullPolicyNeverPushes) {
             }
             return false;
           },
-          nullptr);
+          kNoScatter, kActiveOnly);
     }
     h.engine.FinishRun(ctx);
   });
@@ -260,7 +275,8 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
             uint32_t lv = AtomicLoad(&level[src]);
             if (lv == UINT32_MAX) return false;
             return AtomicMin(&level[dst], lv + 1);
-          });
+          },
+          kActiveOnly);
     }
     h.engine.FinishRun(ctx);
   });
@@ -282,10 +298,11 @@ TEST(DistEngineTest, AdaptiveSwitchesWithFrontierSize) {
     uint64_t active = hc.engine.PromoteActiveSet(ctx);
     while (active > 0) {
       active = hc.engine.ProcessEdges(
-          ctx, UINT32_MAX, nullptr, nullptr,
+          ctx, UINT32_MAX, kNoGather, kNoApply,
           [&clevel](VertexId src, VertexId dst, Weight) {
             return AtomicMin(&clevel[dst], AtomicLoad(&clevel[src]) + 1);
-          });
+          },
+          kActiveOnly);
     }
     hc.engine.FinishRun(ctx);
   });
@@ -320,7 +337,8 @@ TEST(DistEngineTest, CommBytesZeroOnSingleNode) {
             uint32_t s = AtomicLoad(&lv[src]);
             if (s == UINT32_MAX) return false;
             return AtomicMin(&lv[dst], s + 1);
-          });
+          },
+          kActiveOnly);
     }
     h.engine.FinishRun(ctx);
   });
@@ -355,7 +373,8 @@ TEST(DistEngineTest, CommBytesGrowWithNodeCount) {
             },
             [&dist](VertexId src, VertexId dst, Weight w) {
               return AtomicMin(&dist[dst], AtomicLoad(&dist[src]) + w);
-            });
+            },
+            kActiveOnly);
       }
       h.engine.FinishRun(ctx);
     });
@@ -400,10 +419,11 @@ TEST(DistEngineTest, ActivateSeedsEqualsTheDistinctSeedSet) {
     promoted[ctx.rank] = active;
     while (active > 0) {
       active = h.engine.ProcessEdges(
-          ctx, UINT32_MAX, nullptr, nullptr,
+          ctx, UINT32_MAX, kNoGather, kNoApply,
           [&level](VertexId src, VertexId dst, Weight) {
             return AtomicMin(&level[dst], AtomicLoad(&level[src]) + 1);
-          });
+          },
+          kActiveOnly);
     }
     h.engine.FinishRun(ctx);
   });
@@ -463,7 +483,8 @@ TEST(DistEngineTest, SteadySuperstepCostsTwoBarriers) {
             },
             [&dist](VertexId src, VertexId dst, Weight w) {
               return AtomicMin(&dist[dst], AtomicLoad(&dist[src]) + w);
-            });
+            },
+            kActiveOnly);
         if (ctx.rank == 0) steps.push_back(world.barriers_completed() - mark);
       }
       h.engine.FinishRun(ctx);
@@ -500,7 +521,8 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
           },
           [&dist](VertexId src, VertexId dst, Weight w) {
             return AtomicMin(&dist[dst], AtomicLoad(&dist[src]) + w);
-          });
+          },
+          kActiveOnly);
     }
     h.engine.FinishRun(ctx);
   });
@@ -510,6 +532,78 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   EXPECT_EQ(trace_total, stats.computations);
   EXPECT_EQ(stats.per_iter_computations.size(), stats.iterations);
   EXPECT_EQ(stats.per_iter_mode.size(), stats.iterations);
+}
+
+// Wraps a callable so that it can only be moved. std::function requires
+// copyable targets, so DistEngineTest.TakesMoveOnlyCallables stops
+// compiling if the engine or the runner goes back to type erasure.
+template <typename Fn>
+struct MoveOnly {
+  Fn fn;
+  std::unique_ptr<int> token = nullptr;
+  template <typename... Args>
+  auto operator()(Args... args) const {
+    return fn(args...);
+  }
+};
+
+TEST(DistEngineTest, TakesMoveOnlyCallables) {
+  Graph g = Graph::FromEdges(GenerateGrid(10, 10));
+  std::vector<uint32_t> level;
+  const MoveOnly gather{[&level](uint32_t acc, VertexId src, Weight) {
+    uint32_t lv = AtomicLoad(&level[src]);
+    return lv == UINT32_MAX ? acc : std::min(acc, lv + 1);
+  }};
+  const MoveOnly apply{[&level](VertexId dst, uint32_t acc) {
+    if (acc >= level[dst]) return false;
+    AtomicStore(&level[dst], acc);
+    return true;
+  }};
+  const MoveOnly scatter{[&level](VertexId src, VertexId dst, Weight) {
+    uint32_t lv = AtomicLoad(&level[src]);
+    return lv != UINT32_MAX && AtomicMin(&level[dst], lv + 1);
+  }};
+  const MoveOnly filter{kActiveOnly};
+  static_assert(!std::is_copy_constructible_v<decltype(gather)>);
+  auto reset = [&] {
+    level.assign(g.num_vertices(), UINT32_MAX);
+    level[0] = 0;
+  };
+  auto expect_manhattan = [&] {
+    for (VertexId v = 0; v < level.size(); ++v) {
+      EXPECT_EQ(level[v], v / 10 + v % 10) << "v=" << v;
+    }
+  };
+
+  for (ModePolicy policy : {ModePolicy::kAlwaysPull, ModePolicy::kAlwaysPush}) {
+    EngineOptions opt;
+    opt.mode_policy = policy;
+    EngineHarness h(g, 4, 2, opt);
+    reset();
+    h.cluster.Run([&](sim::NodeContext& ctx) {
+      h.engine.BeginRun(ctx);
+      h.engine.ActivateSeeds(ctx, {0});
+      uint64_t active = h.engine.PromoteActiveSet(ctx);
+      while (active > 0) {
+        active = h.engine.ProcessEdges(ctx, UINT32_MAX, gather, apply,
+                                       scatter, filter);
+      }
+      h.engine.FinishRun(ctx);
+    });
+    Mode want = policy == ModePolicy::kAlwaysPull ? Mode::kPull : Mode::kPush;
+    for (Mode m : h.engine.stats().per_iter_mode) EXPECT_EQ(m, want);
+    expect_manhattan();
+  }
+
+  // The RR runner passes the app's callables straight through as well.
+  RRGuidance guidance = RRGuidance::Generate(g, {0});
+  EngineHarness h(g, 3, 1);
+  MinMaxRunner<uint32_t> runner(&h.engine, &guidance);
+  reset();
+  h.cluster.Run([&](sim::NodeContext& ctx) {
+    runner.Run(ctx, {0}, UINT32_MAX, gather, apply, scatter);
+  });
+  expect_manhattan();
 }
 
 }  // namespace

@@ -25,6 +25,10 @@
 namespace slfe::service {
 namespace {
 
+// The graph every test registers. Assigning it as a std::string (not a
+// literal) also keeps gcc 12 clear of a -Wrestrict false positive.
+const std::string kGraph = "g";
+
 Graph Rmat(VertexId n, EdgeId m, uint64_t seed) {
   RmatOptions opt;
   opt.num_vertices = n;
@@ -130,17 +134,17 @@ TEST(JobQueueTest, CloseWakesBlockedConsumer) {
 
 TEST(JobServiceTest, ValidatesRequestsAndCountsRejections) {
   JobService service;
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(200, 1500, 5)).ok());
-  EXPECT_TRUE(service.HasGraph("g"));
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(200, 1500, 5)).ok());
+  EXPECT_TRUE(service.HasGraph(kGraph));
   EXPECT_FALSE(service.HasGraph("nope"));
   // Re-registering would swap data under queued jobs.
-  EXPECT_EQ(service.RegisterGraph("g", Rmat(100, 700, 6)).code(),
+  EXPECT_EQ(service.RegisterGraph(kGraph, Rmat(100, 700, 6)).code(),
             StatusCode::kFailedPrecondition);
 
   JobRequest request;
   request.graph = "nope";
   EXPECT_EQ(service.Submit(request).status().code(), StatusCode::kNotFound);
-  request.graph = "g";
+  request.graph = kGraph;
   request.engine = "quantum";
   EXPECT_EQ(service.Submit(request).status().code(),
             StatusCode::kInvalidArgument);
@@ -175,7 +179,7 @@ TEST(JobServiceTest, RunsEveryRegistryDeclaredPair) {
   JobServiceOptions options;
   options.queue_capacity = 128;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(300, 2400, 7)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(300, 2400, 7)).ok());
   std::vector<JobTicket> tickets;
   size_t pairs = 0;
   for (const api::AppDescriptor* app : api::AppRegistry::Global().Apps()) {
@@ -183,7 +187,7 @@ TEST(JobServiceTest, RunsEveryRegistryDeclaredPair) {
       JobRequest request;
       request.app = app->name;
       request.engine = api::EngineName(engine);
-      request.graph = "g";
+      request.graph = kGraph;
       request.max_iters = 10;
       auto ticket = service.Submit(request);
       ASSERT_TRUE(ticket.ok())
@@ -212,12 +216,12 @@ TEST(JobServiceTest, RunsEveryRegistryDeclaredPair) {
 // through the service with sane results.
 TEST(JobServiceTest, PreviouslyUnreachablePairsRunViaService) {
   JobService service;
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(300, 2400, 7)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(300, 2400, 7)).ok());
 
   JobRequest ooc_pr;
   ooc_pr.app = "pr";
   ooc_pr.engine = "ooc";
-  ooc_pr.graph = "g";
+  ooc_pr.graph = kGraph;
   ooc_pr.max_iters = 15;
   auto ooc_ticket = service.Submit(ooc_pr);
   ASSERT_TRUE(ooc_ticket.ok()) << ooc_ticket.status().ToString();
@@ -225,7 +229,7 @@ TEST(JobServiceTest, PreviouslyUnreachablePairsRunViaService) {
   JobRequest gas_sssp;
   gas_sssp.app = "sssp";
   gas_sssp.engine = "gas";
-  gas_sssp.graph = "g";
+  gas_sssp.graph = kGraph;
   auto gas_ticket = service.Submit(gas_sssp);
   ASSERT_TRUE(gas_ticket.ok()) << gas_ticket.status().ToString();
 
@@ -289,13 +293,13 @@ TEST(JobServiceTest, RejectsRequirementViolatingJobsUpFront) {
 TEST(JobServiceTest, SymmetryRequirementHonorsAutoSymmetrizeOption) {
   JobRequest request;
   request.app = "cc";
-  request.graph = "g";
+  request.graph = kGraph;
 
   JobServiceOptions strict;
   strict.auto_symmetrize = false;
   {
     JobService service(strict);
-    ASSERT_TRUE(service.RegisterGraph("g", Rmat(200, 1500, 12)).ok());
+    ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(200, 1500, 12)).ok());
     Status rejected = service.Submit(request).status();
     EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(rejected.message().find("symmetric"), std::string::npos)
@@ -303,7 +307,7 @@ TEST(JobServiceTest, SymmetryRequirementHonorsAutoSymmetrizeOption) {
   }
   {
     JobService service;  // default: auto_symmetrize
-    ASSERT_TRUE(service.RegisterGraph("g", Rmat(200, 1500, 12)).ok());
+    ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(200, 1500, 12)).ok());
     auto ticket = service.Submit(request);
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
     EXPECT_TRUE(ticket.value()->Wait().status.ok());
@@ -321,14 +325,14 @@ TEST(JobServiceTest, FloodingTenantCannotStarveAnotherTenant) {
   options.workers = 1;  // completion order == pop order
   options.queue_capacity = 256;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(300, 2400, 13)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(300, 2400, 13)).ok());
 
   std::vector<JobTicket> flood_tickets, victim_tickets;
   for (int i = 0; i < kFlood; ++i) {
     JobRequest request;
     request.tenant = "flooder";
     request.app = "pr";
-    request.graph = "g";
+    request.graph = kGraph;
     request.max_iters = 10;
     auto ticket = service.Submit(request);
     ASSERT_TRUE(ticket.ok());
@@ -338,7 +342,7 @@ TEST(JobServiceTest, FloodingTenantCannotStarveAnotherTenant) {
     JobRequest request;
     request.tenant = "victim";
     request.app = "sssp";
-    request.graph = "g";
+    request.graph = kGraph;
     auto ticket = service.Submit(request);
     ASSERT_TRUE(ticket.ok());
     victim_tickets.push_back(std::move(ticket).value());
@@ -371,9 +375,9 @@ TEST(JobServiceTest, FloodingTenantCannotStarveAnotherTenant) {
 
 TEST(JobServiceTest, BaselineJobsSkipGuidanceEntirely) {
   JobService service;
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(200, 1500, 8)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(200, 1500, 8)).ok());
   JobRequest request;
-  request.graph = "g";
+  request.graph = kGraph;
   request.enable_rr = false;
   auto ticket = service.Submit(request);
   ASSERT_TRUE(ticket.ok());
@@ -586,12 +590,12 @@ TEST(JobServiceTest, GracefulShutdownDrainsAcceptedJobs) {
   options.workers = 1;  // force a backlog
   options.queue_capacity = 64;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(300, 2400, 70)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(300, 2400, 70)).ok());
 
   std::vector<JobTicket> tickets;
   for (int i = 0; i < 6; ++i) {
     JobRequest request;
-    request.graph = "g";
+    request.graph = kGraph;
     request.app = i % 2 == 0 ? "sssp" : "pr";
     auto ticket = service.Submit(request);
     ASSERT_TRUE(ticket.ok());
@@ -605,7 +609,7 @@ TEST(JobServiceTest, GracefulShutdownDrainsAcceptedJobs) {
   }
   EXPECT_FALSE(service.accepting());
   JobRequest late;
-  late.graph = "g";
+  late.graph = kGraph;
   EXPECT_EQ(service.Submit(late).status().code(),
             StatusCode::kFailedPrecondition);
   JobServiceStats stats = service.Stats();
@@ -622,13 +626,13 @@ TEST(JobServiceTest, QueueFullRejectsInsteadOfBlocking) {
   options.workers = 1;
   options.queue_capacity = 1;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(400, 3200, 80)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(400, 3200, 80)).ok());
 
   size_t accepted = 0, rejected = 0;
   std::vector<JobTicket> tickets;
   for (int i = 0; i < 32; ++i) {
     JobRequest request;
-    request.graph = "g";
+    request.graph = kGraph;
     request.app = "pr";
     auto ticket = service.Submit(request);
     if (ticket.ok()) {
@@ -854,7 +858,7 @@ TEST(JobServiceMutationTest, ConcurrentMutateAndQueryTrafficStaysConsistent) {
   options.workers = 4;
   options.queue_capacity = 256;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(300, 2400, 95)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(300, 2400, 95)).ok());
 
   constexpr int kQueriesPerTenant = 25;
   constexpr int kMutations = 12;
@@ -868,7 +872,7 @@ TEST(JobServiceMutationTest, ConcurrentMutateAndQueryTrafficStaysConsistent) {
         JobRequest request;
         request.tenant = tenant;
         request.app = i % 2 == 0 ? "bfs" : "cc";
-        request.graph = "g";
+        request.graph = kGraph;
         request.root = static_cast<VertexId>(i % 200);
         auto ticket = service.Submit(request);
         if (!ticket.ok()) {
@@ -884,7 +888,7 @@ TEST(JobServiceMutationTest, ConcurrentMutateAndQueryTrafficStaysConsistent) {
     for (int i = 0; i < kMutations; ++i) {
       MutationRequest request;
       request.tenant = "mut";
-      request.graph = "g";
+      request.graph = kGraph;
       // Alternate inserting an edge and deleting it one step later so
       // versions keep changing.
       if (i % 2 == 0) {
@@ -932,7 +936,7 @@ TEST(JobServiceMutationTest, ConcurrentMutateAndQueryTrafficStaysConsistent) {
   EXPECT_EQ(tenant_mutations, stats.mutations);
   EXPECT_EQ(tenant_repaired, stats.provider.repairs);
   // The version chain all those mutations built is fully recorded.
-  EXPECT_EQ(service.session().GraphVersions("g").back().version,
+  EXPECT_EQ(service.session().GraphVersions(kGraph).back().version,
             1 + service.session().graphs_mutated());
 }
 
@@ -942,14 +946,14 @@ TEST(JobServiceObservabilityTest, TraceSpansTileTheEndToEndLatency) {
   JobServiceOptions options;
   options.workers = 2;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(300, 2500, 11)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(300, 2500, 11)).ok());
 
   std::vector<JobTicket> tickets;
   for (int i = 0; i < 6; ++i) {
     JobRequest request;
     request.tenant = "acme";
     request.app = "sssp";
-    request.graph = "g";
+    request.graph = kGraph;
     request.root = 0;
     auto ticket = service.Submit(request);
     ASSERT_TRUE(ticket.ok());
@@ -1001,10 +1005,10 @@ TEST(JobServiceObservabilityTest, TracingDisabledStillFeedsHistograms) {
   JobServiceOptions options;
   options.tracing = false;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(200, 1500, 12)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(200, 1500, 12)).ok());
   JobRequest request;
   request.app = "sssp";
-  request.graph = "g";
+  request.graph = kGraph;
   request.root = 0;
   auto ticket = service.Submit(request);
   ASSERT_TRUE(ticket.ok());
@@ -1076,14 +1080,14 @@ TEST(JobServiceSketchTest, TenantCapSplitsExactRowsFromSketchedTail) {
   JobServiceOptions options;
   options.max_tracked_tenants = 2;
   JobService service(options);
-  ASSERT_TRUE(service.RegisterGraph("g", Rmat(200, 1500, 33)).ok());
+  ASSERT_TRUE(service.RegisterGraph(kGraph, Rmat(200, 1500, 33)).ok());
 
   const char* kTenants[] = {"t1", "t2", "t3", "t4"};
   for (const char* tenant : kTenants) {
     JobRequest request;
     request.tenant = tenant;
     request.app = "sssp";
-    request.graph = "g";
+    request.graph = kGraph;
     auto ticket = service.Submit(request);
     ASSERT_TRUE(ticket.ok());
     EXPECT_TRUE(ticket.value()->Wait().status.ok());
@@ -1112,7 +1116,7 @@ TEST(JobServiceSketchTest, TenantCapSplitsExactRowsFromSketchedTail) {
   JobRequest again;
   again.tenant = "t3";
   again.app = "sssp";
-  again.graph = "g";
+  again.graph = kGraph;
   auto ticket = service.Submit(again);
   ASSERT_TRUE(ticket.ok());
   ticket.value()->Wait();

@@ -187,7 +187,8 @@ TEST_F(NetServerTest, EightConnectionsPipelineWithInterleavedCompletions) {
       TestClient client(port);
       run.connected = client.connected();
       if (!run.connected) return;
-      std::string tenant = "t" + std::to_string(i);
+      std::string tenant = "t";
+      tenant += std::to_string(i);
       std::string script;
       for (int j = 0; j < 4; ++j) {
         script += "submit " + tenant + " sssp g " + std::to_string(j) + "\n";
