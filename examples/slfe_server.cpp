@@ -1,40 +1,45 @@
 // slfe_server — the long-lived multi-tenant guidance job daemon: a
-// JobService fed by the newline job protocol (stdin or --jobs=FILE), with
-// the guidance store, its GC budgets (global and per tenant), and the
+// JobService behind the epoll TCP front end (net/net_server.h), with the
+// guidance store, its GC budgets (global and per tenant), and the
 // maintenance sweep cadence configured from the shell.
 //
-//   slfe_server --jobs=batch.txt --workers=4 --store-dir=/var/cache/slfe
+//   slfe_server --listen=7070 --workers=4 --store-dir=/var/cache/slfe
 //   slfe_server --store-dir=/var/cache/slfe --maintenance-interval=30
 //   slfe_server --store-dir=/var/cache/slfe --tenant-budget=acme:1048576:8
-//   printf 'submit t1 sssp PK 0\nwait\nstats\n' | slfe_server
-//   slfe_server --smoke        # CI: self-contained amortization check
+//   printf 'submit t1 sssp PK 0\nwait\nstats\nquit\n' | nc 127.0.0.1 7070
 //
-// Protocol (see service/line_driver.h):
-//   submit <tenant> <app> <graph> [root] [gas|dist] [norr]
-//   wait | sweep | stats | quit
+// The daemon announces its bound address on stdout (`listening on
+// ADDR:PORT`) and speaks the line protocol (service/line_protocol.h) on
+// every connection; `metrics`, `trace` and `stats` are its telemetry.
+// tools/tcp_batch.py drives a multi-tenant batch script over it.
 //
 // Exit code: 0 when every job ran clean, non-zero otherwise — so a hung or
 // misbehaving batch fails loudly under `timeout` in CI.
 
 #include <csignal>
-#include <unistd.h>
 
-#include <atomic>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "slfe/api/app_registry.h"
-#include "slfe/graph/generators.h"
 #include "slfe/net/net_server.h"
 #include "slfe/service/job_service.h"
-#include "slfe/service/line_driver.h"
 #include "slfe/service/line_protocol.h"
 
 namespace {
+
+// Upper bounds for flags that size thread pools or allocations up front,
+// so a typo cannot ask the daemon for billions of threads or slots.
+constexpr uint64_t kMaxThreads = 1024;
+constexpr uint64_t kMaxSlots = 1u << 20;
+constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
 
 struct ServerOptions {
   size_t workers = 2;
@@ -42,7 +47,6 @@ struct ServerOptions {
   int nodes = 2;
   int threads = 1;
   uint32_t scale_divisor = 4;
-  std::string jobs_file;  // empty = stdin
   std::string store_dir;
   std::string arena_dir;
   uint64_t store_max_entries = 0;
@@ -50,10 +54,9 @@ struct ServerOptions {
   double store_ttl = 0;
   double maintenance_interval = 0;
   uint32_t gen_threads = 0;
-  // Observability (obs/): slow-job capture threshold, periodic Prometheus
-  // export, and the flight-recorder ring size. 0 slow-job-ms = off.
+  // Observability (obs/): slow-job capture threshold and the
+  // flight-recorder ring size. 0 slow-job-ms = off.
   double slow_job_ms = 0;
-  std::string metrics_dump;
   size_t trace_ring = 64;
   // Demand sketch (sketch/hotness.h): 0 width/depth = sized from the
   // defaults (epsilon, delta); threshold 0 = admit every store write.
@@ -62,10 +65,7 @@ struct ServerOptions {
   uint64_t hot_admit_threshold = 0;
   size_t max_tracked_tenants = 256;
   std::map<std::string, slfe::GuidanceTenantBudget> tenant_budgets;
-  bool smoke = false;
-  // TCP front end (net/net_server.h). listen=true switches the daemon from
-  // the stdin line driver to the epoll loop.
-  bool listen = false;
+  // TCP front end (net/net_server.h).
   uint16_t listen_port = 0;  // 0 = ephemeral, announced on stdout
   std::string bind_address = "127.0.0.1";
   std::map<std::string, std::string> auth_tokens;
@@ -82,9 +82,7 @@ void PrintUsage() {
       "protocol: submit <tenant> <app> <graph> [root] [engine] [norr]\n"
       "  apps:    %s\n"
       "  engines: %s (default dist; see --list-apps for the pairs)\n"
-      "options:\n"
-      "  --jobs=FILE          read the job protocol from FILE (default: "
-      "stdin)\n",
+      "options:\n",
       slfe::api::AppRegistry::Global().UsageList().c_str(),
       slfe::api::AllEngineNames().c_str());
   std::fprintf(
@@ -115,10 +113,6 @@ void PrintUsage() {
       "sweep)\n"
       "  --slow-job-ms=N      capture + WARN jobs slower than N ms "
       "end-to-end\n"
-      "  --metrics-dump=PATH  write the Prometheus text exposition to PATH "
-      "every\n"
-      "                       maintenance sweep (requires "
-      "--maintenance-interval)\n"
       "  --trace-ring=N       flight-recorder capacity: last N completed "
       "job traces\n"
       "                       (default 64; 'trace recent' reads this "
@@ -138,11 +132,11 @@ void PrintUsage() {
       "aggregates into\n"
       "                       one sketched row (default 256, 0 = "
       "unlimited)\n"
-      "  --listen[=PORT]      serve the job protocol over TCP instead of "
-      "stdin (0 or no\n"
-      "                       value = ephemeral port, announced on stdout "
-      "as\n"
-      "                       'listening on ADDR:PORT')\n"
+      "  --listen[=PORT]      TCP port for the job protocol (0 or no "
+      "value = ephemeral,\n"
+      "                       the default); the bound address is "
+      "announced on stdout\n"
+      "                       as 'listening on ADDR:PORT'\n"
       "  --bind=ADDR          TCP bind address (default 127.0.0.1)\n"
       "  --auth-token=T:SECRET\n"
       "                       require connections to open with 'auth T "
@@ -153,8 +147,6 @@ void PrintUsage() {
       "(default 256)\n"
       "  --allow-shutdown     let a TCP client's 'shutdown' stop the "
       "daemon\n"
-      "  --smoke              self-contained multi-tenant amortization "
-      "check (CI)\n"
       "  --list-apps          print the application registry and exit\n");
 }
 
@@ -167,6 +159,40 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+/// The one parser for every integer flag: digits only (no sign, no
+/// suffix, no blanks), no overflow, and within [lo, hi]. Prints the
+/// reason and returns false otherwise — `--workers=-1` must not wrap to
+/// SIZE_MAX and `--workers=4x` must not read as 4.
+template <typename T>
+bool ParseUnsigned(const char* flag, const std::string& value, uint64_t lo,
+                   uint64_t hi, T* out) {
+  uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "bad %s value '%s' (want an integer in [%llu, %llu])\n",
+                 flag, value.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+/// Seconds/milliseconds flags: a whole, finite, non-negative decimal.
+bool ParseNonNegative(const char* flag, const std::string& value,
+                      double* out) {
+  char* end = nullptr;
+  double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !std::isfinite(v) || v < 0) {
+    std::fprintf(stderr, "bad %s value '%s' (want a number >= 0)\n", flag,
+                 value.c_str());
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool ParseTenantBudget(const std::string& value, ServerOptions* opt) {
   size_t c1 = value.find(':');
   if (c1 == std::string::npos) return false;
@@ -175,9 +201,12 @@ bool ParseTenantBudget(const std::string& value, ServerOptions* opt) {
   std::string tenant = value.substr(0, c1);
   if (tenant.empty()) return false;
   slfe::GuidanceTenantBudget budget;
-  budget.max_bytes = std::strtoull(value.substr(c1 + 1, c2 - c1 - 1).c_str(),
-                                   nullptr, 10);
-  budget.max_entries = std::strtoull(value.substr(c2 + 1).c_str(), nullptr, 10);
+  if (!ParseUnsigned("--tenant-budget BYTES", value.substr(c1 + 1, c2 - c1 - 1),
+                     0, kU64Max, &budget.max_bytes) ||
+      !ParseUnsigned("--tenant-budget ENTRIES", value.substr(c2 + 1), 0,
+                     kU64Max, &budget.max_entries)) {
+    return false;
+  }
   opt->tenant_budgets[tenant] = budget;
   return true;
 }
@@ -198,99 +227,11 @@ slfe::service::JobServiceOptions ServiceOptions(const ServerOptions& opt) {
   sopt.arena_dir = opt.arena_dir;
   sopt.slow_job_ms = opt.slow_job_ms;
   sopt.trace_ring_capacity = opt.trace_ring;
-  sopt.metrics_dump_path = opt.metrics_dump;
   sopt.hotness.sketch.width = opt.sketch_width;
   sopt.hotness.sketch.depth = opt.sketch_depth;
   sopt.hot_admit_threshold = opt.hot_admit_threshold;
   sopt.max_tracked_tenants = opt.max_tracked_tenants;
   return sopt;
-}
-
-/// CI smoke: 3 tenants hammer 2 graphs with concurrent guidance-using jobs
-/// through one service; passes iff the shared provider generated guidance
-/// exactly once per graph (singleflight + cache amortization), per-tenant
-/// counters sum to the totals, nothing failed, and shutdown drains clean.
-int SmokeRun() {
-  slfe::service::JobServiceOptions sopt;
-  sopt.workers = 4;
-  sopt.queue_capacity = 64;
-  sopt.job_nodes = 2;
-  std::string dir =
-      "/tmp/slfe_server_smoke." + std::to_string(::getpid());
-  sopt.provider.store_dir = dir;
-  sopt.maintenance_interval_seconds = 0.02;  // exercise the timer mid-run
-  slfe::service::JobService service(sopt);
-
-  const char* kGraphs[] = {"PK", "OK"};
-  for (const char* alias : kGraphs) {
-    slfe::DatasetSpec spec = slfe::FindDataset(alias).value();
-    slfe::EdgeList edges = slfe::MakeDataset(spec, /*scale_divisor=*/16);
-    slfe::Status s = service.RegisterGraph(alias, slfe::Graph::FromEdges(edges));
-    if (!s.ok()) {
-      std::fprintf(stderr, "smoke: register failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-  }
-
-  std::vector<slfe::service::JobTicket> tickets;
-  const char* kTenants[] = {"t1", "t2", "t3"};
-  for (int round = 0; round < 2; ++round) {
-    for (const char* tenant : kTenants) {
-      for (const char* alias : kGraphs) {
-        slfe::service::JobRequest request;
-        request.tenant = tenant;
-        request.app = "sssp";
-        request.graph = alias;
-        request.root = 0;
-        auto ticket = service.Submit(request);
-        if (!ticket.ok()) {
-          std::fprintf(stderr, "smoke: submit failed: %s\n",
-                       ticket.status().ToString().c_str());
-          return 1;
-        }
-        tickets.push_back(std::move(ticket).value());
-      }
-    }
-  }
-  for (const auto& ticket : tickets) {
-    if (!ticket->Wait().status.ok()) {
-      std::fprintf(stderr, "smoke: job failed: %s\n",
-                   ticket->Wait().status.ToString().c_str());
-      return 1;
-    }
-  }
-  service.Shutdown();
-
-  slfe::service::JobServiceStats stats = service.Stats();
-  uint64_t tenant_jobs = 0, tenant_hits = 0, tenant_misses = 0;
-  for (const auto& [name, t] : stats.tenants) {
-    tenant_jobs += t.jobs_completed;
-    tenant_hits += t.guidance_hits;
-    tenant_misses += t.guidance_misses;
-  }
-  bool ok = stats.provider.generations == 2 &&      // one sweep per graph
-            stats.completed == tickets.size() &&    // drained clean
-            stats.failed == 0 &&
-            tenant_jobs == stats.completed &&       // tenant rows sum up
-            tenant_hits + tenant_misses == tickets.size() &&
-            tenant_misses == stats.provider.generations;
-  std::printf(
-      "smoke: jobs=%llu generations=%llu (want 2) hits=%llu misses=%llu "
-      "sweeps=%llu -> %s\n",
-      static_cast<unsigned long long>(stats.completed),
-      static_cast<unsigned long long>(stats.provider.generations),
-      static_cast<unsigned long long>(tenant_hits),
-      static_cast<unsigned long long>(tenant_misses),
-      static_cast<unsigned long long>(stats.maintenance_sweeps),
-      ok ? "OK" : "FAIL");
-  // Drop the smoke store so repeated runs start cold.
-  if (!dir.empty()) {
-    slfe::GuidanceStore cleanup(dir);
-    cleanup.RemoveAll();
-    ::rmdir(dir.c_str());
-  }
-  return ok ? 0 : 1;
 }
 
 slfe::net::NetServer* g_net_server = nullptr;
@@ -299,80 +240,70 @@ void HandleStopSignal(int) {
   if (g_net_server != nullptr) g_net_server->Stop();
 }
 
-/// SIGUSR1 = "dump telemetry now". The handler only raises a flag; the
-/// event loop's on_loop_tick does the rendering on its own thread, because
-/// the registry and flight recorder take locks that a handler must not.
-std::atomic<bool> g_dump_requested{false};
-
-void HandleDumpSignal(int) {
-  g_dump_requested.store(true);
-  // Wake the event loop: the signal rarely lands on the loop thread, so
-  // without this the dump would wait for the next connection event.
-  if (g_net_server != nullptr) g_net_server->Wake();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ServerOptions opt;
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (ParseFlag(argv[i], "--jobs", &value)) {
-      opt.jobs_file = value;
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      opt.workers = static_cast<size_t>(std::atoi(value.c_str()));
+    bool ok = true;
+    if (ParseFlag(argv[i], "--workers", &value)) {
+      ok = ParseUnsigned("--workers", value, 1, kMaxThreads, &opt.workers);
     } else if (ParseFlag(argv[i], "--queue-cap", &value)) {
-      opt.queue_cap = static_cast<size_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--queue-cap", value, 1, kMaxSlots, &opt.queue_cap);
     } else if (ParseFlag(argv[i], "--nodes", &value)) {
-      opt.nodes = std::atoi(value.c_str());
+      ok = ParseUnsigned("--nodes", value, 1, kMaxThreads, &opt.nodes);
     } else if (ParseFlag(argv[i], "--threads", &value)) {
-      opt.threads = std::atoi(value.c_str());
+      ok = ParseUnsigned("--threads", value, 1, kMaxThreads, &opt.threads);
     } else if (ParseFlag(argv[i], "--scale", &value)) {
-      opt.scale_divisor = static_cast<uint32_t>(std::atoi(value.c_str()));
+      // A zero scale divisor would otherwise SIGABRT the daemon inside
+      // MakeDataset at the first lazily registered submit, mid-batch.
+      ok = ParseUnsigned("--scale", value, 1,
+                         std::numeric_limits<uint32_t>::max(),
+                         &opt.scale_divisor);
     } else if (ParseFlag(argv[i], "--store-dir", &value)) {
       opt.store_dir = value;
     } else if (ParseFlag(argv[i], "--arena-dir", &value)) {
       opt.arena_dir = value;
     } else if (ParseFlag(argv[i], "--store-max-entries", &value)) {
-      opt.store_max_entries = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseUnsigned("--store-max-entries", value, 0, kU64Max,
+                         &opt.store_max_entries);
     } else if (ParseFlag(argv[i], "--store-max-bytes", &value)) {
-      opt.store_max_bytes = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseUnsigned("--store-max-bytes", value, 0, kU64Max,
+                         &opt.store_max_bytes);
     } else if (ParseFlag(argv[i], "--store-ttl", &value)) {
-      opt.store_ttl = std::atof(value.c_str());
+      ok = ParseNonNegative("--store-ttl", value, &opt.store_ttl);
     } else if (ParseFlag(argv[i], "--maintenance-interval", &value)) {
-      opt.maintenance_interval = std::atof(value.c_str());
+      ok = ParseNonNegative("--maintenance-interval", value,
+                            &opt.maintenance_interval);
     } else if (ParseFlag(argv[i], "--gen-threads", &value)) {
-      opt.gen_threads = static_cast<uint32_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--gen-threads", value, 0, kMaxThreads,
+                         &opt.gen_threads);
     } else if (ParseFlag(argv[i], "--slow-job-ms", &value)) {
-      opt.slow_job_ms = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--metrics-dump", &value)) {
-      opt.metrics_dump = value;
+      ok = ParseNonNegative("--slow-job-ms", value, &opt.slow_job_ms);
     } else if (ParseFlag(argv[i], "--trace-ring", &value)) {
-      opt.trace_ring = static_cast<size_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--trace-ring", value, 0, kMaxSlots, &opt.trace_ring);
     } else if (ParseFlag(argv[i], "--sketch-width", &value)) {
-      opt.sketch_width = static_cast<size_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--sketch-width", value, 0, kMaxSlots,
+                         &opt.sketch_width);
     } else if (ParseFlag(argv[i], "--sketch-depth", &value)) {
-      opt.sketch_depth = static_cast<size_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--sketch-depth", value, 0, 16, &opt.sketch_depth);
     } else if (ParseFlag(argv[i], "--hot-admit-threshold", &value)) {
-      opt.hot_admit_threshold = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseUnsigned("--hot-admit-threshold", value, 0, kU64Max,
+                         &opt.hot_admit_threshold);
     } else if (ParseFlag(argv[i], "--max-tracked-tenants", &value)) {
-      opt.max_tracked_tenants = static_cast<size_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--max-tracked-tenants", value, 0, kU64Max,
+                         &opt.max_tracked_tenants);
     } else if (ParseFlag(argv[i], "--tenant-budget", &value)) {
       if (!ParseTenantBudget(value, &opt)) {
         std::fprintf(stderr, "bad --tenant-budget (want T:BYTES:ENTRIES): %s\n",
                      value.c_str());
-        return 2;
+        ok = false;
       }
     } else if (ParseFlag(argv[i], "--listen", &value)) {
-      opt.listen = true;
-      unsigned long port = std::strtoul(value.c_str(), nullptr, 10);
-      if (port > 65535) {
-        std::fprintf(stderr, "bad --listen port: %s\n", value.c_str());
-        return 2;
-      }
-      opt.listen_port = static_cast<uint16_t>(port);
+      ok = ParseUnsigned("--listen", value, 0, 65535, &opt.listen_port);
     } else if (std::strcmp(argv[i], "--listen") == 0) {
-      opt.listen = true;  // ephemeral port
+      opt.listen_port = 0;  // ephemeral, the default
     } else if (ParseFlag(argv[i], "--bind", &value)) {
       opt.bind_address = value;
     } else if (ParseFlag(argv[i], "--auth-token", &value)) {
@@ -381,124 +312,66 @@ int main(int argc, char** argv) {
           colon + 1 == value.size()) {
         std::fprintf(stderr, "bad --auth-token (want TENANT:SECRET): %s\n",
                      value.c_str());
-        return 2;
+        ok = false;
+      } else {
+        opt.auth_tokens[value.substr(0, colon)] = value.substr(colon + 1);
       }
-      opt.auth_tokens[value.substr(0, colon)] = value.substr(colon + 1);
     } else if (ParseFlag(argv[i], "--max-connections", &value)) {
-      opt.max_connections = static_cast<size_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--max-connections", value, 1, kMaxSlots,
+                         &opt.max_connections);
     } else if (std::strcmp(argv[i], "--allow-shutdown") == 0) {
       opt.allow_shutdown = true;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      opt.smoke = true;
     } else if (std::strcmp(argv[i], "--list-apps") == 0) {
       std::fputs(slfe::api::AppRegistry::Global().ListApps().c_str(), stdout);
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      ok = false;
+    }
+    if (!ok) {
       PrintUsage();
       return 2;
     }
   }
-  if (opt.workers == 0 || opt.queue_cap == 0 || opt.nodes < 1 ||
-      opt.threads < 1 || opt.scale_divisor < 1) {
-    // A zero scale divisor would otherwise SIGABRT the daemon inside
-    // MakeDataset at the first lazily registered submit, mid-batch.
-    PrintUsage();
-    return 2;
-  }
-  if (opt.smoke) return SmokeRun();
   if ((!opt.tenant_budgets.empty() || opt.store_max_entries > 0 ||
        opt.store_max_bytes > 0 || opt.store_ttl > 0) &&
       opt.store_dir.empty()) {
     std::fprintf(stderr, "store budgets require --store-dir\n");
     return 2;
   }
-  if (opt.maintenance_interval > 0 && opt.store_dir.empty() &&
-      opt.metrics_dump.empty()) {
-    // The maintenance timer only has work when there is a store to sweep
-    // or a metrics file to refresh.
-    std::fprintf(stderr,
-                 "--maintenance-interval requires --store-dir or "
-                 "--metrics-dump\n");
+  if (opt.maintenance_interval > 0 && opt.store_dir.empty()) {
+    // The maintenance timer only has work when there is a store to sweep.
+    std::fprintf(stderr, "--maintenance-interval requires --store-dir\n");
     return 2;
-  }
-  if (!opt.metrics_dump.empty() && opt.maintenance_interval <= 0) {
-    std::fprintf(stderr,
-                 "--metrics-dump requires --maintenance-interval (it is "
-                 "written from the maintenance timer)\n");
-    return 2;
-  }
-
-  if (opt.listen) {
-    if (!opt.jobs_file.empty()) {
-      std::fprintf(stderr, "--jobs and --listen are mutually exclusive\n");
-      return 2;
-    }
-    if (opt.max_connections == 0) {
-      std::fprintf(stderr, "--max-connections must be positive\n");
-      return 2;
-    }
-    slfe::service::JobService service(ServiceOptions(opt));
-    slfe::net::NetServerOptions nopt;
-    nopt.bind_address = opt.bind_address;
-    nopt.port = opt.listen_port;
-    nopt.auth_tokens = opt.auth_tokens;
-    nopt.max_connections = opt.max_connections;
-    nopt.allow_shutdown = opt.allow_shutdown;
-    nopt.session.scale_divisor = opt.scale_divisor;
-    nopt.on_loop_tick = [&service] {
-      if (!g_dump_requested.exchange(false)) return;
-      std::fprintf(stderr, "%s%s\n", service.RenderMetricsText().c_str(),
-                   service.RenderTraceJson("recent").c_str());
-      std::fflush(stderr);
-    };
-    slfe::net::NetServer server(service, nopt);
-    slfe::Status s = server.Start();
-    if (!s.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n", s.ToString().c_str());
-      return 2;
-    }
-    // SIGINT/SIGTERM stop the loop gracefully (drain, then exit); Stop()
-    // is async-signal-safe (atomic store + eventfd write).
-    g_net_server = &server;
-    std::signal(SIGINT, HandleStopSignal);
-    std::signal(SIGTERM, HandleStopSignal);
-    // SIGUSR1 dumps metrics + recent traces to stderr. The handler wakes
-    // the event loop through the eventfd (Wake()), so the dump happens on
-    // the next tick even when the daemon is idle. Listen mode only — the
-    // stdin driver's blocking fgets must keep restarting across signals.
-    struct sigaction dump_action;
-    std::memset(&dump_action, 0, sizeof(dump_action));
-    dump_action.sa_handler = HandleDumpSignal;
-    sigemptyset(&dump_action.sa_mask);
-    dump_action.sa_flags = 0;
-    ::sigaction(SIGUSR1, &dump_action, nullptr);
-    // Announced on stdout so scripts using an ephemeral port (--listen=0)
-    // can read the bound address back; flushed before the loop blocks.
-    std::printf("listening on %s:%u\n", nopt.bind_address.c_str(),
-                static_cast<unsigned>(server.port()));
-    std::fflush(stdout);
-    int rc = server.Serve();
-    g_net_server = nullptr;
-    service.Shutdown();
-    std::fputs(slfe::service::FormatStats(service.Stats()).c_str(), stdout);
-    return rc;
-  }
-
-  std::FILE* in = stdin;
-  if (!opt.jobs_file.empty()) {
-    in = std::fopen(opt.jobs_file.c_str(), "r");
-    if (in == nullptr) {
-      std::fprintf(stderr, "cannot open --jobs file: %s\n",
-                   opt.jobs_file.c_str());
-      return 2;
-    }
   }
 
   slfe::service::JobService service(ServiceOptions(opt));
-  slfe::service::LineDriverOptions dopt;
-  dopt.scale_divisor = opt.scale_divisor;
-  int rc = slfe::service::RunLineDriver(service, in, stdout, dopt);
-  if (in != stdin) std::fclose(in);
+  slfe::net::NetServerOptions nopt;
+  nopt.bind_address = opt.bind_address;
+  nopt.port = opt.listen_port;
+  nopt.auth_tokens = opt.auth_tokens;
+  nopt.max_connections = opt.max_connections;
+  nopt.allow_shutdown = opt.allow_shutdown;
+  nopt.scale_divisor = opt.scale_divisor;
+  slfe::net::NetServer server(service, nopt);
+  slfe::Status s = server.Start();
+  if (!s.ok()) {
+    std::fprintf(stderr, "listen failed: %s\n", s.ToString().c_str());
+    return 2;
+  }
+  // SIGINT/SIGTERM stop the loop gracefully (drain, then exit); Stop()
+  // is async-signal-safe (atomic store + eventfd write).
+  g_net_server = &server;
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+  // Announced on stdout so scripts using an ephemeral port can read the
+  // bound address back; flushed before the loop blocks.
+  std::printf("listening on %s:%u\n", nopt.bind_address.c_str(),
+              static_cast<unsigned>(server.port()));
+  std::fflush(stdout);
+  int rc = server.Serve();
+  g_net_server = nullptr;
+  service.Shutdown();
+  std::fputs(slfe::service::FormatStats(service.Stats()).c_str(), stdout);
   return rc;
 }

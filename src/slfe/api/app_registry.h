@@ -75,6 +75,9 @@ struct AppOutcome {
   std::string summary_text;
 };
 
+/// Shard files an ooc run splits its graph into.
+constexpr uint32_t kOocShards = 4;
+
 /// Everything a runner needs: the resolved graph (already symmetrized if
 /// the descriptor requires it), the request, and an AppConfig prefilled
 /// with the session's cluster shape, the request knobs, and the session's
@@ -86,7 +89,6 @@ struct RunContext {
   /// Scratch directory for engines with on-disk state (ooc shards). The
   /// session guarantees a usable, per-run-unique subpath via OocDir().
   std::string scratch_dir;
-  uint32_t ooc_shards = 4;
 
   /// A collision-free shard directory for one ooc run.
   std::string OocDir() const;

@@ -38,19 +38,13 @@ Graph Symmetrized(const Graph& graph) {
 
 }  // namespace
 
-Session::Session(SessionOptions options) : options_(std::move(options)) {
+Session::Session(SessionOptions options)
+    : options_(std::move(options)), provider_(options_.provider) {
   if (options_.num_nodes < 1) options_.num_nodes = 1;
   if (options_.threads_per_node < 1) options_.threads_per_node = 1;
-  if (options_.ooc_shards < 1) options_.ooc_shards = 1;
   if (options_.scratch_dir.empty()) {
     options_.scratch_dir =
         "/tmp/slfe_session." + std::to_string(::getpid());
-  }
-  if (options_.external_provider != nullptr) {
-    provider_ = options_.external_provider;
-  } else {
-    owned_provider_ = std::make_unique<GuidanceProvider>(options_.provider);
-    provider_ = owned_provider_.get();
   }
   if (!options_.arena_dir.empty()) {
     ::mkdir(options_.arena_dir.c_str(), 0755);  // EEXIST is the happy path
@@ -198,7 +192,7 @@ Result<GraphMutationResult> Session::MutateGraph(const std::string& name,
       entry.history.push_back({entry.version, result.new_fingerprint, fresh});
       result.version = entry.version;
     }
-    provider_->RecordMutation(std::move(base), *fresh, std::move(delta_ptr));
+    provider_.RecordMutation(std::move(base), *fresh, std::move(delta_ptr));
     ++graphs_mutated_;
     result.changed = true;
     result.num_vertices = fresh->num_vertices();
@@ -383,11 +377,11 @@ AppOutcome Session::RunWith(const AppRequest& request, const AppDescriptor& app,
   config.max_iters = request.max_iters;
   config.epsilon = request.epsilon;
   config.root = request.root;
-  config.guidance_provider = provider_;
+  config.guidance_provider = &provider_;
   config.trace = trace;
 
   RunContext context{*graph, request, std::move(config),
-                     options_.scratch_dir, options_.ooc_shards};
+                     options_.scratch_dir};
   if (trace == nullptr) return app.runners.at(engine)(context);
 
   // Report the runner's wall time minus whatever guidance_acquire spans it

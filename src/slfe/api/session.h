@@ -69,17 +69,11 @@ struct SessionOptions {
   /// not burn a worker); the interactive CLI stays permissive (sssp on an
   /// unweighted graph is hop counts — odd, but the user asked).
   bool strict_weights = false;
-  /// Configuration for the session-owned guidance provider (ignored when
-  /// external_provider is set).
+  /// Configuration for the session-owned guidance provider.
   GuidanceProviderOptions provider;
-  /// Borrow an existing provider instead of owning one (embedding into a
-  /// larger system that already shares a provider). Not owned; must
-  /// outlive the session.
-  GuidanceProvider* external_provider = nullptr;
   /// Scratch directory for engines with on-disk state (ooc shards).
   /// Empty = /tmp/slfe_session.<pid>.
   std::string scratch_dir;
-  uint32_t ooc_shards = 4;
   /// Directory of `*.sga` graph arenas for warm restarts. Empty =
   /// disabled. When set, the directory is created on construction and
   /// ArenaPath names where a graph's arena lives; callers decide when to
@@ -192,7 +186,7 @@ class Session {
                    std::shared_ptr<const Graph> graph,
                    obs::JobTrace* trace = nullptr);
 
-  GuidanceProvider& provider() { return *provider_; }
+  GuidanceProvider& provider() { return provider_; }
   const SessionOptions& options() const { return options_; }
 
  private:
@@ -241,8 +235,7 @@ class Session {
                      obs::JobTrace* trace = nullptr);
 
   SessionOptions options_;
-  std::unique_ptr<GuidanceProvider> owned_provider_;
-  GuidanceProvider* provider_;  // owned_provider_ or the external one
+  GuidanceProvider provider_;
 
   mutable std::mutex graphs_mu_;
   std::map<std::string, GraphEntry> graphs_;

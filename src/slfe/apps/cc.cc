@@ -86,7 +86,7 @@ api::AppRegistrar register_cc([] {
   };
   d.runners[api::Engine::kOoc] = [](const api::RunContext& ctx) {
     Result<ooc::OocEngine> built =
-        ooc::OocEngine::Build(ctx.graph, ctx.OocDir(), ctx.ooc_shards);
+        ooc::OocEngine::Build(ctx.graph, ctx.OocDir(), api::kOocShards);
     if (!built.ok()) {
       api::AppOutcome out;
       out.status = built.status();

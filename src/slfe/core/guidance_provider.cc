@@ -9,6 +9,17 @@
 
 namespace slfe {
 
+namespace {
+
+/// Remembered unproducible requests (see the negative cache note on
+/// GuidanceProvider), FIFO evicted.
+constexpr size_t kNegativeCacheCapacity = 64;
+/// Remembered mutations (new-fingerprint -> predecessor lineage), FIFO
+/// evicted; a mutation evicted from here regenerates instead of repairing.
+constexpr size_t kLineageCapacity = 32;
+
+}  // namespace
+
 GuidanceProvider::GuidanceProvider(GuidanceProviderOptions options)
     : options_(std::move(options)), cache_(options_.cache_capacity) {
   if (!options_.store_dir.empty()) {
@@ -210,16 +221,13 @@ GuidanceAcquisition GuidanceProvider::AcquireInternal(
 void GuidanceProvider::RecordMutation(std::shared_ptr<const Graph> old_graph,
                                       const Graph& new_graph,
                                       std::shared_ptr<const GraphDelta> delta) {
-  if (!options_.repair.enabled || options_.repair.lineage_capacity == 0 ||
-      old_graph == nullptr || delta == nullptr) {
-    return;
-  }
+  if (old_graph == nullptr || delta == nullptr) return;
   uint64_t new_fp = new_graph.fingerprint();
   std::lock_guard<std::mutex> lock(lineage_mu_);
   if (lineage_.emplace(new_fp, Lineage{std::move(old_graph),
                                        std::move(delta)}).second) {
     lineage_fifo_.push_back(new_fp);
-    while (lineage_fifo_.size() > options_.repair.lineage_capacity) {
+    while (lineage_fifo_.size() > kLineageCapacity) {
       lineage_.erase(lineage_fifo_.front());
       lineage_fifo_.pop_front();
     }
@@ -229,7 +237,6 @@ void GuidanceProvider::RecordMutation(std::shared_ptr<const Graph> old_graph,
 std::shared_ptr<const RRGuidance> GuidanceProvider::TryRepair(
     const Graph& graph, const std::vector<VertexId>& roots,
     const GuidanceRequest* request) {
-  if (!options_.repair.enabled) return nullptr;
   Lineage lineage;
   {
     std::lock_guard<std::mutex> lock(lineage_mu_);
@@ -328,11 +335,10 @@ bool GuidanceProvider::NegativeLookup(const NegativeKey& key) {
 }
 
 void GuidanceProvider::NegativeInsert(const NegativeKey& key) {
-  if (options_.negative_cache_capacity == 0) return;
   std::lock_guard<std::mutex> lock(negative_mu_);
   if (!negative_.insert(key).second) return;
   negative_fifo_.push_back(key);
-  while (negative_fifo_.size() > options_.negative_cache_capacity) {
+  while (negative_fifo_.size() > kNegativeCacheCapacity) {
     negative_.erase(negative_fifo_.front());
     negative_fifo_.pop_front();
   }

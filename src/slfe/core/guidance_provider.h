@@ -78,7 +78,6 @@ struct GuidanceAcquisition {
 /// proportional to the damaged region, but only pays off for small
 /// deltas — both fractions below bound when it is attempted at all.
 struct GuidanceRepairOptions {
-  bool enabled = true;
   /// Deltas touching more than this fraction of the old graph's edges
   /// regenerate outright (the repair bookkeeping would cost more than the
   /// sweep it saves).
@@ -87,9 +86,6 @@ struct GuidanceRepairOptions {
   /// invalidation cascade exceeds this fraction of the new graph's
   /// vertices — forwarded to RRGuidance::Repair.
   double max_affected_fraction = 0.5;
-  /// Remembered mutations (new-fingerprint -> predecessor lineage), FIFO
-  /// evicted. 0 disables lineage tracking (and thereby repair).
-  size_t lineage_capacity = 32;
 };
 
 struct GuidanceProviderOptions {
@@ -108,9 +104,6 @@ struct GuidanceProviderOptions {
   /// is constructed and on GuidanceStore::Sweep(). Defaults keep
   /// everything forever.
   GuidanceStoreGcOptions store_gc;
-  /// Maximum remembered unproducible requests (see the negative cache
-  /// note on GuidanceProvider). 0 disables negative caching.
-  size_t negative_cache_capacity = 64;
   /// Incremental-repair policy for mutated graphs.
   GuidanceRepairOptions repair;
   /// Hotness gate for store admission (ignored when store_dir is empty).
@@ -168,9 +161,9 @@ GuidanceProvider& ResolveProvider(GuidanceProvider* provider);
 ///    no-op that disables all redundancy reduction — are remembered, and
 ///    repeats return a null acquisition (baseline mode) immediately,
 ///    skipping both the O(V+E) root-selection rescan and the no-op sweep.
-///    Eviction policy: a bounded FIFO of `negative_cache_capacity` request
-///    keys (fingerprint, policy, root); when full, the oldest entry is
-///    dropped. Entries are never revalidated by time — a Graph is
+///    Eviction policy: a bounded FIFO of kNegativeCacheCapacity (64)
+///    request keys (fingerprint, policy, root); when full, the oldest
+///    entry is dropped. Entries are never revalidated by time — a Graph is
 ///    immutable, so an empty root set is a permanent property of
 ///    (topology, policy) — but ClearNegativeCache() resets the set (e.g.
 ///    for tests reusing fingerprints across synthetic graphs).
@@ -202,7 +195,7 @@ class GuidanceProvider {
   /// Remembers that `new_graph` was produced from `old_graph` by `delta`,
   /// so the NEXT guidance miss on the new graph can patch the old
   /// version's guidance (RRGuidance::Repair) instead of re-sweeping.
-  /// Lineages are a bounded FIFO (repair.lineage_capacity); evicted or
+  /// Lineages are a bounded FIFO (kLineageCapacity, 32); evicted or
   /// never-recorded mutations simply regenerate. The old graph is held
   /// alive by shared ownership only until its lineage entry is evicted.
   void RecordMutation(std::shared_ptr<const Graph> old_graph,

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "slfe/service/command_session.h"
 #include "slfe/service/line_protocol.h"
 
 namespace slfe::net {
@@ -24,6 +25,13 @@ namespace {
 // start above them (next_conn_id_ begins at 2).
 constexpr uint64_t kListenId = 0;
 constexpr uint64_t kWakeId = 1;
+
+/// A line (or un-newlined prefix) longer than this drops the connection —
+/// bounded memory per peer, the same contract as the bounded queue.
+constexpr size_t kMaxLineBytes = 1 << 20;
+/// Pending unread output beyond this drops the connection (a peer that
+/// stopped reading must not grow the daemon's heap unboundedly).
+constexpr size_t kMaxOutbufBytes = 8u << 20;
 
 }  // namespace
 
@@ -169,7 +177,6 @@ Status NetServer::Start() {
 int NetServer::Serve() {
   std::vector<epoll_event> events(64);
   while (true) {
-    if (options_.on_loop_tick) options_.on_loop_tick();
     if (stop_requested_.load() && !shutting_down_) BeginShutdown();
     if (shutting_down_ && connections_.empty()) break;
 
@@ -210,14 +217,10 @@ int NetServer::Serve() {
 
 void NetServer::Stop() {
   stop_requested_.store(true);
-  Wake();
-}
-
-void NetServer::Wake() {
   // Only the lock-free eventfd write: a signal handler may call this (the
   // kernel delivers process-directed signals to an arbitrary thread, so
   // the loop's epoll_wait usually does NOT get the EINTR — it must be
-  // woken explicitly for the next tick to run promptly).
+  // woken explicitly to see the stop).
   if (wake_fd_ >= 0) {
     uint64_t one = 1;
     (void)!::write(wake_fd_, &one, sizeof(one));
@@ -271,7 +274,7 @@ void NetServer::HandleReadable(Connection& conn) {
       conn.inbuf.append(buf, static_cast<size_t>(n));
       // Flood guard: a peer must not grow the daemon's heap without bound
       // by writing faster than its barrier allows us to dispatch.
-      if (conn.inbuf.size() > options_.max_line_bytes * 4) {
+      if (conn.inbuf.size() > kMaxLineBytes * 4) {
         Output(conn, "reject: input buffer overflow\n");
         FlushWrites(conn);
         CloseConnection(id, /*dropped=*/true);
@@ -316,7 +319,7 @@ void NetServer::PumpConnection(uint64_t id) {
     }
     size_t pos = conn.inbuf.find('\n');
     if (pos == std::string::npos) {
-      if (conn.inbuf.size() > options_.max_line_bytes) {
+      if (conn.inbuf.size() > kMaxLineBytes) {
         Output(conn, "reject: line too long\n");
         FlushWrites(conn);
         CloseConnection(id, /*dropped=*/true);
@@ -397,15 +400,15 @@ bool NetServer::HandleHandshake(Connection& conn, const std::string& line) {
     return false;
   }
   // No auth configured and the peer opened with a regular command: an
-  // unbound session, free to name any tenant (the stdin batch contract).
+  // unbound session, free to name any tenant.
   MakeSession(conn, "");
   DispatchLine(conn, line);
   return true;
 }
 
 void NetServer::MakeSession(Connection& conn, const std::string& bound_tenant) {
-  service::CommandSession::Options sopt = options_.session;
-  sopt.streaming = true;
+  service::CommandSession::Options sopt;
+  sopt.scale_divisor = options_.scale_divisor;
   sopt.allow_shutdown = options_.allow_shutdown;
   sopt.bound_tenant = bound_tenant;
   uint64_t id = conn.id;
@@ -464,7 +467,7 @@ void NetServer::Output(Connection& conn, std::string line) {
   conn.outbuf.append(line);
   size_t pending = conn.outbuf.size() - conn.out_off;
   if (pending > conn.outbuf_high_water) conn.outbuf_high_water = pending;
-  if (pending > options_.max_outbuf_bytes) {
+  if (pending > kMaxOutbufBytes) {
     // A peer that stopped reading: drop it rather than buffer without
     // bound. Deferred to the end of the current pump — Output is called
     // from inside the session's dispatch, which must not free itself.

@@ -4,14 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "slfe/common/status.h"
-#include "slfe/service/command_session.h"
 #include "slfe/service/job_service.h"
 
 namespace slfe::net {
@@ -34,29 +32,16 @@ struct NetServerOptions {
   /// Connections admitted concurrently; excess accepts are turned away
   /// with a terminated reject line and counted as dropped.
   size_t max_connections = 256;
-  /// A line (or un-newlined prefix) longer than this drops the connection
-  /// — bounded memory per peer, the same contract as the bounded queue.
-  size_t max_line_bytes = 1 << 20;
-  /// Pending unread output beyond this drops the connection (a peer that
-  /// stopped reading must not grow the daemon's heap unboundedly).
-  size_t max_outbuf_bytes = 8u << 20;
   /// `shutdown` from a connection stops the whole daemon (drain first).
   /// Off by default: a tenant must not be able to stop the service.
   bool allow_shutdown = false;
-  /// Dispatcher knobs shared with the stdin driver (scale divisor, echo).
-  /// streaming/bound_tenant/allow_shutdown are overwritten per connection.
-  service::CommandSession::Options session;
-  /// Invoked on the loop thread at the top of every Serve() iteration.
-  /// Paired with Wake() this is how the daemon services SIGUSR1 telemetry
-  /// dumps without a second thread: the handler raises a flag and wakes
-  /// the loop, the next tick renders the dump. Must be cheap and must not
-  /// call back into the server.
-  std::function<void()> on_loop_tick;
+  /// Shrink divisor for dataset aliases registered lazily on first use.
+  uint32_t scale_divisor = 4;
 };
 
 /// The TCP front end: one epoll event loop accepting many concurrent
 /// connections, each speaking the newline job protocol through its own
-/// streaming CommandSession. Requests pipeline — a submit never blocks the
+/// CommandSession. Requests pipeline — a submit never blocks the
 /// connection — and completion lines are streamed back as workers finish
 /// jobs (tagged `req=K` in this connection's submission order), not only
 /// at `wait`. `wait` is a barrier: dispatch of the lines behind it pauses
@@ -85,20 +70,14 @@ class NetServer {
   uint16_t port() const { return port_; }
 
   /// Runs the event loop on the calling thread. Returns 0 on a clean stop,
-  /// 1 when any connection saw a rejected line or failed job (the same
-  /// health contract as the stdin driver's exit code).
+  /// 1 when any connection saw a rejected line or failed job — the
+  /// daemon's exit code, so a misbehaving batch fails loudly.
   int Serve();
 
-  /// Thread-safe: wakes the loop and stops it after draining outstanding
-  /// jobs on live connections.
+  /// Thread-safe and async-signal-safe (an atomic store plus an eventfd
+  /// write): wakes the loop and stops it after draining outstanding jobs
+  /// on live connections.
   void Stop();
-
-  /// Async-signal-safe: wakes the loop without stopping it, so the next
-  /// iteration's on_loop_tick runs promptly. A signal handler that raises
-  /// a flag for the tick must call this — process-directed signals are
-  /// delivered to an arbitrary thread, so epoll_wait usually keeps
-  /// sleeping through them.
-  void Wake();
 
  private:
   struct Connection;

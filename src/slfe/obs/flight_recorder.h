@@ -2,8 +2,8 @@
 
 // Bounded flight recorder: a fixed-capacity ring of the most recently
 // completed job traces, plus a second ring that pins slow jobs so a burst
-// of fast jobs cannot evict the interesting ones. Dumpable on demand
-// (`trace recent` / `trace slow`) and on SIGUSR1.
+// of fast jobs cannot evict the interesting ones. Read over the daemon's
+// line protocol (`trace recent` / `trace slow` / `trace <job-id>`).
 
 #include <cstdint>
 #include <memory>

@@ -145,31 +145,15 @@ void CommandSession::Accepted(JobTicket ticket, const std::string& tenant,
                               const std::string& app,
                               const std::string& graph) {
   uint64_t req = ++accepted_;
-  if (options_.echo) {
-    std::string line = "queued req=" + std::to_string(req) + " tenant=" +
-                       tenant + " app=" + app + " graph=" + graph +
-                       " (depth=" + std::to_string(service_.queued()) + ")\n";
-    sink_(std::move(line));
-  }
-  if (options_.streaming) {
-    if (on_submitted_) on_submitted_(ticket, req);
-  } else {
-    outstanding_.push_back(std::move(ticket));
-  }
+  sink_("queued req=" + std::to_string(req) + " tenant=" + tenant +
+        " app=" + app + " graph=" + graph +
+        " (depth=" + std::to_string(service_.queued()) + ")\n");
+  on_submitted_(ticket, req);
 }
 
 void CommandSession::Reject(const std::string& message) {
   sink_("reject: " + message + "\n");
   any_error_ = true;
-}
-
-void CommandSession::DrainOutstanding() {
-  for (const JobTicket& ticket : outstanding_) {
-    JobResult result = ticket->Wait();
-    if (!result.status.ok()) any_error_ = true;
-    sink_(FormatResult(result));
-  }
-  outstanding_.clear();
 }
 
 }  // namespace slfe::service

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "slfe/service/job_service.h"
 #include "slfe/service/line_protocol.h"
@@ -12,35 +11,27 @@
 namespace slfe::service {
 
 /// Executes parsed protocol commands against a JobService, writing every
-/// protocol reply through a sink instead of a FILE* — the one dispatcher
-/// shared by the stdin line driver and each TCP connection session, so
-/// command semantics (validation, rejection wording, echo format, graph
-/// lazy-registration) cannot drift between transports.
+/// protocol reply through a sink — the dispatcher behind each TCP
+/// connection (net/net_server.h), kept out of the event loop so command
+/// semantics (validation, rejection wording, echo format, graph
+/// lazy-registration) live in one place.
 ///
-/// Two completion models, selected by Options::streaming:
-///  - Blocking (stdin): accepted tickets are collected; `wait` (and end of
-///    input) calls DrainOutstanding(), which blocks on each ticket and
-///    emits results in submission order.
-///  - Streaming (TCP): each accepted submission is handed to the
-///    SubmitHook with its per-session request number; the transport
-///    registers an async completion callback and streams results as they
-///    finish. HandleLine never blocks, so submissions pipeline.
+/// Each accepted submission is handed to the SubmitHook with its
+/// per-session request number; the transport registers an async
+/// completion callback and streams results as they finish. HandleLine
+/// never blocks, so submissions pipeline.
 class CommandSession {
  public:
   /// Receives one complete, '\n'-terminated protocol line.
   using Sink = std::function<void(std::string line)>;
-  /// Streaming mode: called once per accepted submission (query or
-  /// mutation) with the completion ticket and the request number echoed in
-  /// the `queued req=K` acknowledgement.
+  /// Called once per accepted submission (query or mutation) with the
+  /// completion ticket and the request number echoed in the `queued
+  /// req=K` acknowledgement.
   using SubmitHook = std::function<void(const JobTicket& ticket, uint64_t req)>;
 
   struct Options {
     /// Shrink divisor for dataset aliases registered lazily on first use.
     uint32_t scale_divisor = 4;
-    /// Echo a `queued req=K ...` acknowledgement per accepted command.
-    bool echo = true;
-    /// Results stream via the SubmitHook instead of blocking `wait`.
-    bool streaming = false;
     /// `shutdown` stops the daemon instead of being rejected.
     bool allow_shutdown = false;
     /// Non-empty: the authenticated tenant — submissions and mutations
@@ -49,23 +40,18 @@ class CommandSession {
   };
 
   /// What the transport should do after a line: keep going, honor a wait
-  /// barrier (stdin blocks; TCP pauses dispatch until its outstanding
-  /// count drains), close this input stream, or stop the whole daemon.
+  /// barrier (pause dispatch until the outstanding count drains), close
+  /// this connection, or stop the whole daemon.
   enum class Disposition { kContinue, kWaitBarrier, kQuit, kShutdown };
 
   CommandSession(JobService& service, Options options, Sink sink,
-                 SubmitHook on_submitted = nullptr);
+                 SubmitHook on_submitted);
 
   Disposition HandleLine(const std::string& line);
 
-  /// Blocking mode: waits for every collected ticket, emits each result,
-  /// and flags any_error on failed jobs. No-op in streaming mode.
-  void DrainOutstanding();
-
-  /// Any rejected line or failed drained job so far — the batch's health
-  /// signal (the daemon's exit code).
+  /// Any rejected line so far — part of the batch's health signal (the
+  /// daemon's exit code).
   bool any_error() const { return any_error_; }
-  void note_error() { any_error_ = true; }
 
   /// Requests accepted on this session (the last `req=` echoed).
   uint64_t accepted() const { return accepted_; }
@@ -84,7 +70,6 @@ class CommandSession {
   Options options_;
   Sink sink_;
   SubmitHook on_submitted_;
-  std::vector<JobTicket> outstanding_;  // blocking mode only
   uint64_t accepted_ = 0;
   bool any_error_ = false;
 };

@@ -130,7 +130,7 @@ JobService::JobService(JobServiceOptions options)
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (options_.maintenance_interval_seconds > 0 &&
-      (provider().store() != nullptr || !options_.metrics_dump_path.empty())) {
+      provider().store() != nullptr) {
     maintenance_ = std::thread([this] { MaintenanceLoop(); });
   }
 }
@@ -468,28 +468,7 @@ void JobService::MaintenanceLoop() {
     maintenance_cv_.wait_for(lock, interval,
                              [&] { return stopping_.load(); });
     if (stopping_.load()) break;
-    if (provider().store() != nullptr) {
-      RecordSweep(provider().store()->Sweep());
-    }
-    if (!options_.metrics_dump_path.empty()) WriteMetricsDump();
-  }
-}
-
-void JobService::WriteMetricsDump() {
-  const std::string& path = options_.metrics_dump_path;
-  std::string tmp = path + ".tmp";
-  std::string text = RenderMetricsText();
-  FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    SLFE_LOG(Warning) << "metrics dump: cannot open " << tmp;
-    return;
-  }
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0 ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    SLFE_LOG(Warning) << "metrics dump: write failed for " << path;
-    std::remove(tmp.c_str());
+    RecordSweep(provider().store()->Sweep());
   }
 }
 
@@ -717,13 +696,9 @@ void JobService::Shutdown() {
 
   // 3. Final sweep: a stopped service leaves its store within budget, and
   //    with every job drained no pins remain to spare anything.
-  if (options_.final_sweep_on_shutdown && provider().store() != nullptr) {
+  if (provider().store() != nullptr) {
     RecordSweep(provider().store()->Sweep());
   }
-
-  // 4. Leave a final metrics snapshot behind, so a scraper reading the
-  //    dump file sees the service's terminal state, not a stale interval.
-  if (!options_.metrics_dump_path.empty()) WriteMetricsDump();
 }
 
 }  // namespace slfe::service

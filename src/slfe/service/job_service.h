@@ -217,8 +217,8 @@ struct JobServiceStats {
   /// arena_dir shows mapped == graph count, parsed == 0.
   uint64_t graphs_parsed = 0;
   uint64_t graphs_mapped = 0;
-  /// Connection-level accounting (all zero when only stdin drives the
-  /// service).
+  /// Connection-level accounting (all zero when no TCP front end drives
+  /// the service).
   NetFrontEndStats net;
   std::map<std::string, TenantStats> tenants;
   GuidanceProviderStats provider;
@@ -262,9 +262,6 @@ struct JobServiceOptions {
   /// GuidanceStore::Sweep() (TTL + tenant + global budgets, pin-aware).
   /// 0 = no timer; SweepNow() remains available.
   double maintenance_interval_seconds = 0;
-  /// Run one last Sweep() during Shutdown() so a stopped service leaves
-  /// its store directory within budget.
-  bool final_sweep_on_shutdown = true;
   /// Directory of `*.sga` graph arenas (passed through to the session).
   /// Empty = warm-restart registration disabled.
   std::string arena_dir;
@@ -279,10 +276,6 @@ struct JobServiceOptions {
   /// Completed traces retained by the flight recorder's recent ring (the
   /// slow ring keeps half as many, minimum 8).
   size_t trace_ring_capacity = 64;
-  /// Non-empty = the maintenance timer also writes the Prometheus text
-  /// exposition here every interval (atomic temp + rename), so external
-  /// collectors can scrape a file instead of holding a connection.
-  std::string metrics_dump_path;
   /// Sketch plane sizing (src/slfe/sketch/): every submission — query,
   /// mutation, or rejected request — is streamed through a HotnessTracker
   /// keyed by (tenant, graph fingerprint, app). The tracker also feeds
@@ -454,7 +447,6 @@ class JobService {
   void ObserveCompletion(const QueuedJob& job, JobResult* result);
   /// Mirrors Stats() counters into the registry before rendering.
   void CollectMetrics();
-  void WriteMetricsDump();
   /// Streams one request through the sketch plane and (under stats_mu_)
   /// maintains the fingerprint->name map for `hot` rendering plus the
   /// distinct-spilled-tenant count. fingerprint == 0 = unresolved.

@@ -9,14 +9,34 @@
 
 namespace slfe::service {
 
+/// The newline-delimited job protocol every slfe_server connection speaks
+/// (net/net_server.h carries it; command_session.h executes it):
+///
+///   auth <tenant> [token]   # first line; binds the connection to tenant
+///   submit <tenant> <app> <graph> [root] [dist|shm|gas|ooc] [norr]
+///   mutate <tenant> <graph> [ins <src> <dst> <w>]... [del <src> <dst>]...
+///   wait          # barrier: stream every prior result, then `done req=N`
+///   sweep         # run a maintenance sweep now, print what it did
+///   stats         # print the service + net + per-tenant counters
+///   metrics [json]                # Prometheus text (ends "# EOF") or JSON
+///   trace [recent|slow|<job-id>]  # flight-recorder span breakdowns
+///   hot [k]       # print the top-k heavy-hitter graphs (default 10)
+///   quit          # drain this connection's jobs, then close it
+///   shutdown      # drain every connection, then stop the daemon (gated)
+///   # comment     # ignored, as are blank lines
+///
+/// Each accepted submit/mutate is acknowledged with `queued req=K ...`
+/// and its result streams back as it finishes, tagged ` req=K`.
+/// `<graph>` is a registered graph name; unknown names are resolved as
+/// dataset aliases (PK/OK/LJ/...) and registered on first use.
+
 /// One parsed line of the job protocol. Parsing is pure — no I/O, no
-/// service access — so the stdin driver, the TCP connection sessions, and
-/// the unit tests all share exactly one grammar: a parser bug fixed here
-/// is fixed for every transport at once.
+/// service access — so the TCP connection sessions and the unit tests
+/// share exactly one grammar.
 struct ParsedCommand {
   enum class Kind {
     kEmpty,     ///< blank line or `# comment`
-    kQuit,      ///< close this input stream (drain first)
+    kQuit,      ///< close this connection (drain first)
     kWait,      ///< barrier: results of prior submissions before new lines
     kStats,     ///< print service + tenant + connection counters
     kSweep,     ///< run a maintenance sweep now
@@ -56,14 +76,8 @@ std::vector<std::string> TokenizeLine(const std::string& line);
 /// through the narrowing cast into a bogus but in-range id).
 Result<VertexId> ParseVertexId(const std::string& token);
 
-/// Parses one protocol line into a command. Grammar (see line_driver.h):
-///   submit <tenant> <app> <graph> [root] [engine] [norr]
-///   mutate <tenant> <graph> [ins <src> <dst> <w>]... [del <src> <dst>]...
-///   auth <tenant> [token]
-///   metrics [json]
-///   trace [recent|slow|<job-id>]
-///   hot [k]
-///   wait | sweep | stats | quit | shutdown | # comment
+/// Parses one protocol line into a command (grammar at the top of this
+/// file).
 ParsedCommand ParseCommandLine(const std::string& line);
 
 /// One '\n'-terminated result line. The served= tag precedence is part of

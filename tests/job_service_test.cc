@@ -393,8 +393,14 @@ TEST(JobServiceTest, BaselineJobsSkipGuidanceEntirely) {
 // The tentpole acceptance test: N tenants x M jobs on K graphs, submitted
 // from concurrent threads, must coalesce to exactly K generations
 // (singleflight + cache inside ONE shared provider), and the per-tenant
-// counters must sum to the service totals.
-TEST(JobServiceTest, MultiTenantConcurrentJobsAmortizeToOneGenerationPerGraph) {
+// counters must sum to the service totals. It runs with and without a
+// persistent store; the store run adds a maintenance timer firing
+// mid-batch, so store write-through and concurrent sweeps must not cost
+// an extra generation either.
+class JobServiceAmortizationTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(JobServiceAmortizationTest,
+       MultiTenantConcurrentJobsAmortizeToOneGenerationPerGraph) {
   constexpr int kTenants = 4;
   constexpr int kJobsPerTenantPerGraph = 3;
   constexpr int kGraphs = 3;
@@ -402,6 +408,10 @@ TEST(JobServiceTest, MultiTenantConcurrentJobsAmortizeToOneGenerationPerGraph) {
   JobServiceOptions options;
   options.workers = 4;
   options.queue_capacity = 256;
+  if (GetParam()) {
+    options.provider.store_dir = StoreDir("slfe_service_amortize");
+    options.maintenance_interval_seconds = 0.02;
+  }
   JobService service(options);
   std::vector<std::string> names;
   for (int g = 0; g < kGraphs; ++g) {
@@ -474,7 +484,20 @@ TEST(JobServiceTest, MultiTenantConcurrentJobsAmortizeToOneGenerationPerGraph) {
   EXPECT_EQ(tenant_hits + tenant_misses, total_jobs);
   EXPECT_EQ(tenant_misses, stats.provider.generations);
   EXPECT_GT(tenant_bytes, 0u);
+
+  // A clean drain: Shutdown joins the workers and the maintenance timer
+  // with nothing failed or left behind.
+  service.Shutdown();
+  stats = service.Stats();
+  EXPECT_EQ(stats.completed, total_jobs);
+  EXPECT_EQ(stats.failed, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(StoreModes, JobServiceAmortizationTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "WithStore" : "InMemory";
+                         });
 
 TEST(JobServiceTest, MaintenanceLoopEnforcesPerTenantBudgets) {
   // Two tenants over their store budgets, one unbudgeted: after the jobs

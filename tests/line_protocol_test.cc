@@ -2,8 +2,8 @@
 // grammar (fractional ids reject instead of silently truncating, oversized
 // roots reject instead of wrapping through the VertexId cast), the
 // always-terminated reject lines (EOF-without-newline input), and the
-// served= tag precedence in result formatting — a protocol contract the
-// TCP and stdin front ends both inherit.
+// served= tag precedence in result formatting — a protocol contract every
+// TCP connection inherits.
 
 #include <gtest/gtest.h>
 

@@ -3,7 +3,8 @@
 // wait barrier (results and `done` before any line behind the barrier),
 // the auth handshake (bad token drops, good token binds the tenant), the
 // overload contract (every job completes or is explicitly rejected — a
-// connection never hangs), admission control, and shutdown draining.
+// connection never hangs), admission control, the line-length bound, and
+// shutdown draining.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -405,6 +406,27 @@ TEST_F(NetServerTest, ParserRejectsTravelTheWire) {
   StopServer();
   EXPECT_EQ(serve_rc_, 1);  // rejected lines are the batch health signal
   EXPECT_EQ(svc_->Stats().mutations, 0u);  // nothing was truncated through
+}
+
+TEST_F(NetServerTest, OverlongLineIsRejectedAndDropsTheConnection) {
+  net::NetServerOptions nopt;
+  StartServer(nopt, DefaultServiceOptions());
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+
+  // One byte past the 1 MiB line bound, with no newline anywhere: the
+  // server must answer with a terminated reject and close, not buffer
+  // without bound. Exactly one byte over, so the server has read all of
+  // it when it closes and the close cannot turn into a reset that eats
+  // the reject line.
+  client.Send(std::string((1 << 20) + 1, 'x'));
+  EXPECT_EQ(client.ReadLine(), "reject: line too long");
+  EXPECT_TRUE(client.ReadToEof());
+
+  StopServer();
+  service::JobServiceStats stats = svc_->Stats();
+  EXPECT_EQ(stats.net.accepted, 1u);
+  EXPECT_EQ(stats.net.dropped, 1u);
 }
 
 TEST_F(NetServerTest, ShutdownCommandDrainsOutstandingJobsFirst) {

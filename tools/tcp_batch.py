@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Drive a job-protocol batch against `slfe_server --listen` over TCP.
+"""Drive a multi-tenant job-protocol batch against `slfe_server` over TCP.
 
-The stdin batch format gains one routing layer: with auth configured a
-connection is bound to a single tenant, so a multi-tenant batch runs over
-one connection per tenant. Script grammar (everything else is the wire
-protocol, see src/slfe/service/line_driver.h):
+A batch script is protocol lines plus one routing layer: an
+authenticated connection is bound to a single tenant, so a multi-tenant
+batch runs over one connection per tenant. Script grammar (everything
+else is the wire protocol, see src/slfe/service/line_protocol.h):
 
     @<tenant> <protocol line>   send the line on <tenant>'s connection
     barrier                     `wait` on every connection and block until
@@ -14,14 +14,16 @@ protocol, see src/slfe/service/line_driver.h):
     # comment / blank           ignored
 
 Every line received from the server is echoed to stdout (prefixed with the
-tenant), so the caller can grep the streamed acks/results/stats exactly as
-it grepped the stdin driver's output. Exit code: 0 iff no connection saw a
-`reject:` line or a non-ok job status -- the same health contract as the
-daemon's own exit code.
+tenant), so the caller can grep the streamed acks/results/stats. Exit
+code: 0 iff no connection saw a `reject:` line or a non-ok job status --
+the same health contract as the daemon's own exit code.
 
 Usage:
     tcp_batch.py --port=PORT [--host=H] --auth T:SECRET [--auth U:SECRET2]
                  [--bad-auth T:WRONG] --script batch.txt
+
+Against a daemon started without --auth-token, any SECRET binds the
+connection to its tenant.
 """
 
 import argparse
@@ -75,17 +77,18 @@ class Conn:
                 return
 
     def quit(self):
+        # A `shutdown` in the script closes connections server-side;
+        # quitting one that's already gone is fine, and the `quit` written
+        # into a closed socket can come back as a reset instead of EOF.
         try:
             self.send("quit\n")
-        except OSError:
-            # A `shutdown` in the script closes connections server-side;
-            # quitting one that's already gone is fine.
+            while True:
+                line = self.read_line()
+                if line is None:
+                    return
+                self.echo(line)
+        except (BrokenPipeError, ConnectionResetError):
             pass
-        while True:
-            line = self.read_line()
-            if line is None:
-                return
-            self.echo(line)
 
 
 def check_bad_auth(host, port, tenant, token):
