@@ -3,8 +3,7 @@
 //      dirty-vertex transition push vs paper-literal all-vertex push);
 //   2. dense/sparse switch threshold (Gemini's |E|/20 vs alternatives);
 //   3. chunk partitioner alpha (edge weight in the balance metric);
-//   4. guidance generation (serial sweep vs partitioned sweep at several
-//      worker counts vs cached retrieval).
+//   4. guidance generation (the sweep vs cached retrieval).
 // Each section prints total computations, updates, and runtime so the
 // trade-offs are visible side by side.
 
@@ -15,7 +14,6 @@
 
 #include "bench/bench_util.h"
 #include "slfe/apps/sssp.h"
-#include "slfe/common/thread_pool.h"
 #include "slfe/core/guidance_provider.h"
 #include "slfe/core/roots.h"
 #include "slfe/core/rr_runners.h"
@@ -120,37 +118,23 @@ void PartitionerAblation() {
 }
 
 void GuidanceGenerationAblation() {
-  std::printf("\n[4] guidance generation (single-source roots; "
-              "bk = per-iteration bookkeeping share)\n");
-  std::printf("%-8s %-22s %-14s %-14s %-12s\n", "graph", "sweep",
-              "seconds", "bookkeeping", "vs serial");
+  std::printf("\n[4] guidance generation (single-source roots)\n");
+  std::printf("%-8s %-22s %-14s %-12s\n", "graph", "path", "seconds",
+              "vs sweep");
   bench::PrintRule();
   for (const char* alias : {"LJ", "FS"}) {
     const Graph& g = bench::LoadGraph(alias);
-    double serial =
-        RRGuidance::GenerateSerial(g, {0}).generation_seconds();
-    std::printf("%-8s %-22s %-14.6f %-14s %-12s\n", alias,
-                "serial (reference)", serial, "-", "1.00x");
-    for (size_t workers : {2u, 4u}) {
-      ThreadPool pool(workers);
-      RRGuidance part = RRGuidance::GeneratePartitioned(g, {0}, pool);
-      std::printf("%-8s partitioned x%-9zu %-14.6f %-14.6f %.2fx\n", alias,
-                  workers, part.generation_seconds(),
-                  part.bookkeeping_seconds(),
-                  part.generation_seconds() > 0
-                      ? serial / part.generation_seconds()
-                      : 0.0);
-    }
+    double sweep = RRGuidance::Generate(g, {0}).generation_seconds();
+    std::printf("%-8s %-22s %-14.6f %-12s\n", alias, "serial sweep", sweep,
+                "1.00x");
     GuidanceProvider provider;
     provider.AcquireForRoots(g, {0});  // warm the cache
     double hit = provider.AcquireForRoots(g, {0}).acquire_seconds;
-    std::printf("%-8s %-22s %-14.6f %-14s %.0fx\n", alias,
-                "cached retrieval", hit, "-",
-                hit > 0 ? serial / hit : 0.0);
+    std::printf("%-8s %-22s %-14.6f %.0fx\n", alias, "cached retrieval", hit,
+                hit > 0 ? sweep / hit : 0.0);
   }
-  std::printf("(partitioned slices by the DistGraph ranges and fuses the "
-              "frontier-edge count into the merge; cached retrieval is the "
-              "paper's multi-job amortization path, ~8.7 jobs/graph)\n");
+  std::printf("(cached retrieval is the paper's multi-job amortization "
+              "path, ~8.7 jobs/graph)\n");
 }
 
 void Run() {

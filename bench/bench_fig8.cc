@@ -4,14 +4,14 @@
 // "extremely small" on the smaller graphs and an average 25.1% end-to-end
 // improvement including preprocessing; the guidance is also reusable
 // across jobs (~8.7 jobs per graph at Facebook), amortizing it further.
-// Follow-up sections quantify the amortization machinery itself:
-// serial vs partitioned generation (with the per-iteration bookkeeping
-// cost split out, so the crossover is measurable even where wall clock is
-// noisy), cache-hit retrieval cost across repeated jobs on one graph, and
-// warm-restart amortization through the on-disk GuidanceStore (reload vs
-// resweep). Run with --smoke for the CI wiring check: a tiny graph through
-// the warm-restart path only, exiting non-zero if the store did not serve
-// the restarted provider.
+// The "RRG overhead" column is the per-graph guidance sweep. Follow-up
+// sections quantify the amortization machinery itself: cache-hit
+// retrieval cost across repeated jobs on one graph, multi-tenant
+// singleflight through one JobService, and warm-restart amortization
+// through the on-disk GuidanceStore (reload vs resweep). Run with --smoke
+// for the CI wiring check: a tiny graph through the warm-restart path
+// only, exiting non-zero if the store did not serve the restarted
+// provider.
 
 #include <unistd.h>
 
@@ -23,7 +23,6 @@
 
 #include "bench/bench_util.h"
 #include "slfe/apps/sssp.h"
-#include "slfe/common/thread_pool.h"
 #include "slfe/common/timer.h"
 #include "slfe/core/guidance_provider.h"
 #include "slfe/core/guidance_store.h"
@@ -69,42 +68,6 @@ void OverheadSection() {
   std::printf("average end-to-end improvement: %+.1f%%  (paper: +25.1%%, "
               "overhead amortized over ~8.7 jobs/graph in practice)\n",
               sum_improvement / count);
-}
-
-void GenerationSection() {
-  bench::PrintHeader(
-      "Fig. 8b: guidance generation, serial vs partitioned (4 workers); "
-      "the bookkeeping (bk) column isolates the per-iteration overhead "
-      "that decides the crossover");
-  std::printf("%-8s %-8s %-12s %-12s %-12s %-10s\n", "graph", "depth",
-              "serial(s)", "part4(s)", "bk-part(s)", "part vs serial");
-  bench::PrintRule();
-  ThreadPool pool(4);
-  for (const std::string& alias : bench::PaperGraphs()) {
-    const Graph& g = bench::LoadGraph(alias);
-    RRGuidance reference = RRGuidance::GenerateSerial(g, {0});
-    auto serial = [&] {
-      return RRGuidance::GenerateSerial(g, {0}).generation_seconds();
-    };
-    // Medians of 3 for wall clock; the matching bookkeeping median comes
-    // from the same runs so the two columns describe the same sweeps.
-    std::vector<double> p_total, p_bk;
-    for (int i = 0; i < 3; ++i) {
-      RRGuidance p = RRGuidance::GeneratePartitioned(g, {0}, pool);
-      p_total.push_back(p.generation_seconds());
-      p_bk.push_back(p.bookkeeping_seconds());
-    }
-    double s =
-        bench::Median({reference.generation_seconds(), serial(), serial()});
-    double p = bench::Median(p_total);
-    std::printf("%-8s %-8u %-12.5f %-12.5f %-12.5f %.2fx\n", alias.c_str(),
-                reference.depth(), s, p, bench::Median(p_bk),
-                p > 0 ? s / p : 0.0);
-  }
-  std::printf(
-      "(bk is the per-iteration frontier bitmap fill and merge, with the "
-      "frontier-edge count folded into the merge; below 1.00x the "
-      "parallel dispatch costs more than the sweep it splits)\n");
 }
 
 /// Warm-restart amortization: the §4.4 story across process lifetimes. A
@@ -301,7 +264,6 @@ int Run(bool smoke) {
     return ok ? 0 : 1;
   }
   OverheadSection();
-  GenerationSection();
   AmortizationSection();
   ServiceSection(/*smoke=*/false);
   WarmRestartSection(/*smoke=*/false);

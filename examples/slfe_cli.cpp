@@ -18,12 +18,14 @@
 //
 // Exits non-zero with a usage message on bad arguments.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
+#include "flag_parse.h"
 #include "slfe/api/app_registry.h"
 #include "slfe/api/session.h"
 #include "slfe/core/guidance_provider.h"
@@ -32,6 +34,14 @@
 #include "slfe/graph/loader.h"
 
 namespace {
+
+using slfe::flags::kMaxThreads;
+using slfe::flags::kU64Max;
+using slfe::flags::ParseFlag;
+using slfe::flags::ParseNonNegative;
+using slfe::flags::ParseUnsigned;
+
+constexpr uint64_t kU32Max = std::numeric_limits<uint32_t>::max();
 
 struct CliOptions {
   std::string app = "sssp";
@@ -46,13 +56,12 @@ struct CliOptions {
   slfe::VertexId root = 0;
   uint32_t scale_divisor = 4;
   // Guidance subsystem knobs (only consulted with --rr): persistent store
-  // directory + its GC policy, and the generation worker count.
+  // directory + its GC policy.
   std::string store_dir;
   uint64_t store_max_entries = 0;
   uint64_t store_max_bytes = 0;
   double store_ttl = 0;
   std::string arena_dir;
-  uint32_t gen_threads = 0;
 };
 
 void PrintUsage() {
@@ -84,20 +93,9 @@ void PrintUsage() {
       "  --arena-dir=PATH map the dataset's saved *.sga graph arena when\n"
       "                   present (skipping the synthesis + parse), and\n"
       "                   write one back after a cold load (warm restarts)\n"
-      "  --gen-threads=N  guidance generation workers (default: cores;\n"
-      "                   1 = serial sweep, more = partitioned sweep)\n"
       "  --list-apps      print the application registry and exit\n"
       "  --list           print the dataset suite and exit\n",
       registry.UsageList().c_str(), slfe::api::AllEngineNames().c_str());
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -106,6 +104,7 @@ int main(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    bool ok = true;
     if (ParseFlag(argv[i], "--app", &value)) {
       opt.app = value;
     } else if (ParseFlag(argv[i], "--engine", &value)) {
@@ -115,27 +114,27 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--file", &value)) {
       opt.file = value;
     } else if (ParseFlag(argv[i], "--nodes", &value)) {
-      opt.nodes = std::atoi(value.c_str());
+      ok = ParseUnsigned("--nodes", value, 1, kMaxThreads, &opt.nodes);
     } else if (ParseFlag(argv[i], "--threads", &value)) {
-      opt.threads = std::atoi(value.c_str());
+      ok = ParseUnsigned("--threads", value, 1, kMaxThreads, &opt.threads);
     } else if (ParseFlag(argv[i], "--iters", &value)) {
-      opt.iters = static_cast<uint32_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--iters", value, 0, kU32Max, &opt.iters);
     } else if (ParseFlag(argv[i], "--root", &value)) {
-      opt.root = static_cast<slfe::VertexId>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--root", value, 0, kU32Max, &opt.root);
     } else if (ParseFlag(argv[i], "--scale", &value)) {
-      opt.scale_divisor = static_cast<uint32_t>(std::atoi(value.c_str()));
+      ok = ParseUnsigned("--scale", value, 1, kU32Max, &opt.scale_divisor);
     } else if (ParseFlag(argv[i], "--store-dir", &value)) {
       opt.store_dir = value;
     } else if (ParseFlag(argv[i], "--store-max-entries", &value)) {
-      opt.store_max_entries = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseUnsigned("--store-max-entries", value, 0, kU64Max,
+                         &opt.store_max_entries);
     } else if (ParseFlag(argv[i], "--store-max-bytes", &value)) {
-      opt.store_max_bytes = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseUnsigned("--store-max-bytes", value, 0, kU64Max,
+                         &opt.store_max_bytes);
     } else if (ParseFlag(argv[i], "--store-ttl", &value)) {
-      opt.store_ttl = std::atof(value.c_str());
+      ok = ParseNonNegative("--store-ttl", value, &opt.store_ttl);
     } else if (ParseFlag(argv[i], "--arena-dir", &value)) {
       opt.arena_dir = value;
-    } else if (ParseFlag(argv[i], "--gen-threads", &value)) {
-      opt.gen_threads = static_cast<uint32_t>(std::atoi(value.c_str()));
     } else if (std::strcmp(argv[i], "--rr") == 0) {
       opt.rr = true;
     } else if (std::strcmp(argv[i], "--no-stealing") == 0) {
@@ -152,13 +151,12 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      ok = false;
+    }
+    if (!ok) {
       PrintUsage();
       return 2;
     }
-  }
-  if (opt.nodes < 1 || opt.threads < 1 || opt.scale_divisor < 1) {
-    PrintUsage();
-    return 2;
   }
 
   // Load or synthesize the graph; the session (not the CLI) derives the
@@ -181,7 +179,6 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  sopt.provider.generation_threads = opt.gen_threads;
   sopt.arena_dir = opt.arena_dir;
 
   slfe::api::Session session(sopt);

@@ -18,16 +18,14 @@
 
 #include <csignal>
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <string>
 
+#include "flag_parse.h"
 #include "slfe/api/app_registry.h"
 #include "slfe/net/net_server.h"
 #include "slfe/service/job_service.h"
@@ -35,11 +33,15 @@
 
 namespace {
 
-// Upper bounds for flags that size thread pools or allocations up front,
-// so a typo cannot ask the daemon for billions of threads or slots.
-constexpr uint64_t kMaxThreads = 1024;
+using slfe::flags::kMaxThreads;
+using slfe::flags::kU64Max;
+using slfe::flags::ParseFlag;
+using slfe::flags::ParseNonNegative;
+using slfe::flags::ParseUnsigned;
+
+// Upper bound for flags that size allocations up front, so a typo cannot
+// ask the daemon for billions of slots.
 constexpr uint64_t kMaxSlots = 1u << 20;
-constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
 
 struct ServerOptions {
   size_t workers = 2;
@@ -53,7 +55,6 @@ struct ServerOptions {
   uint64_t store_max_bytes = 0;
   double store_ttl = 0;
   double maintenance_interval = 0;
-  uint32_t gen_threads = 0;
   // Observability (obs/): slow-job capture threshold and the
   // flight-recorder ring size. 0 slow-job-ms = off.
   double slow_job_ms = 0;
@@ -109,8 +110,6 @@ void PrintUsage() {
       "  --maintenance-interval=SECS\n"
       "                       sweep the store every SECS from the "
       "maintenance loop\n"
-      "  --gen-threads=N      guidance generation workers (1 = serial "
-      "sweep)\n"
       "  --slow-job-ms=N      capture + WARN jobs slower than N ms "
       "end-to-end\n"
       "  --trace-ring=N       flight-recorder capacity: last N completed "
@@ -150,49 +149,6 @@ void PrintUsage() {
       "  --list-apps          print the application registry and exit\n");
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-/// The one parser for every integer flag: digits only (no sign, no
-/// suffix, no blanks), no overflow, and within [lo, hi]. Prints the
-/// reason and returns false otherwise — `--workers=-1` must not wrap to
-/// SIZE_MAX and `--workers=4x` must not read as 4.
-template <typename T>
-bool ParseUnsigned(const char* flag, const std::string& value, uint64_t lo,
-                   uint64_t hi, T* out) {
-  uint64_t v = 0;
-  const char* end = value.data() + value.size();
-  auto [ptr, ec] = std::from_chars(value.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
-    std::fprintf(stderr, "bad %s value '%s' (want an integer in [%llu, %llu])\n",
-                 flag, value.c_str(), static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi));
-    return false;
-  }
-  *out = static_cast<T>(v);
-  return true;
-}
-
-/// Seconds/milliseconds flags: a whole, finite, non-negative decimal.
-bool ParseNonNegative(const char* flag, const std::string& value,
-                      double* out) {
-  char* end = nullptr;
-  double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || *end != '\0' || !std::isfinite(v) || v < 0) {
-    std::fprintf(stderr, "bad %s value '%s' (want a number >= 0)\n", flag,
-                 value.c_str());
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 bool ParseTenantBudget(const std::string& value, ServerOptions* opt) {
   size_t c1 = value.find(':');
   if (c1 == std::string::npos) return false;
@@ -221,7 +177,6 @@ slfe::service::JobServiceOptions ServiceOptions(const ServerOptions& opt) {
   sopt.provider.store_gc.max_entries = opt.store_max_entries;
   sopt.provider.store_gc.max_bytes = opt.store_max_bytes;
   sopt.provider.store_gc.ttl_seconds = opt.store_ttl;
-  sopt.provider.generation_threads = opt.gen_threads;
   sopt.tenant_budgets = opt.tenant_budgets;
   sopt.maintenance_interval_seconds = opt.maintenance_interval;
   sopt.arena_dir = opt.arena_dir;
@@ -276,9 +231,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--maintenance-interval", &value)) {
       ok = ParseNonNegative("--maintenance-interval", value,
                             &opt.maintenance_interval);
-    } else if (ParseFlag(argv[i], "--gen-threads", &value)) {
-      ok = ParseUnsigned("--gen-threads", value, 0, kMaxThreads,
-                         &opt.gen_threads);
     } else if (ParseFlag(argv[i], "--slow-job-ms", &value)) {
       ok = ParseNonNegative("--slow-job-ms", value, &opt.slow_job_ms);
     } else if (ParseFlag(argv[i], "--trace-ring", &value)) {

@@ -27,26 +27,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates time across multiple start/stop intervals — used to split
-/// engine runtime into pull-mode vs push-mode shares (paper Fig. 4).
-class AccumTimer {
- public:
-  void Start() { t_.Reset(); running_ = true; }
-  void Stop() {
-    if (running_) {
-      total_ += t_.Seconds();
-      running_ = false;
-    }
-  }
-  void Reset() { total_ = 0; running_ = false; }
-  double Seconds() const { return total_; }
-
- private:
-  Timer t_;
-  double total_ = 0;
-  bool running_ = false;
-};
-
 }  // namespace slfe
 
 #endif  // SLFE_COMMON_TIMER_H_

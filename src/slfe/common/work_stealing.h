@@ -25,57 +25,6 @@ class WorkStealingScheduler {
   explicit WorkStealingScheduler(bool enable_stealing = true)
       : enable_stealing_(enable_stealing) {}
 
-  /// Band-partitioned variant for work that lives in per-owner buffers
-  /// (the partition-aware guidance sweep's per-partition frontiers): band b
-  /// holds `sizes[b]` items; worker w first drains band w (its own
-  /// partition, the NUMA-local work), then — stealing enabled — drains the
-  /// remaining bands' leftover mini-chunks. `fn(worker, band, lo, hi)`
-  /// processes items [lo, hi) of band `band`; every item is processed
-  /// exactly once. Returns per-worker processed-chunk counts.
-  std::vector<uint64_t> RunBands(
-      ThreadPool& pool, const std::vector<size_t>& sizes,
-      const std::function<void(size_t, size_t, size_t, size_t)>& fn) const {
-    size_t nthreads = pool.num_threads();
-    size_t bands = sizes.size();
-    std::vector<uint64_t> processed(nthreads, 0);
-    if (bands == 0) return processed;
-
-    // One shared cursor per band, in mini-chunk units; thieves and the
-    // band's owner advance it with fetch-add so no chunk runs twice.
-    std::vector<std::atomic<size_t>> next(bands);
-    std::vector<size_t> chunks(bands);
-    for (size_t b = 0; b < bands; ++b) {
-      next[b].store(0, std::memory_order_relaxed);
-      chunks[b] = (sizes[b] + kMiniChunk - 1) / kMiniChunk;
-    }
-
-    pool.ParallelRun([&](size_t w) {
-      uint64_t done = 0;
-      auto drain = [&](size_t band) {
-        while (true) {
-          size_t c = next[band].fetch_add(1, std::memory_order_relaxed);
-          if (c >= chunks[band]) break;
-          size_t lo = c * kMiniChunk;
-          size_t hi =
-              lo + kMiniChunk < sizes[band] ? lo + kMiniChunk : sizes[band];
-          fn(w, band, lo, hi);
-          ++done;
-        }
-      };
-      if (enable_stealing_) {
-        // Own band first (w mod bands keeps surplus workers useful), then
-        // sweep the others for leftovers.
-        for (size_t i = 0; i < bands; ++i) drain((w + i) % bands);
-      } else {
-        // Static partition: strided ownership so every band is covered
-        // even when there are more bands than workers.
-        for (size_t b = w; b < bands; b += nthreads) drain(b);
-      }
-      processed[w] = done;
-    });
-    return processed;
-  }
-
   /// Processes every mini-chunk [lo, hi) of [begin, end) exactly once using
   /// the pool's workers. `fn(worker, lo, hi)` does the chunk's work.
   /// Returns per-worker counts of processed chunks (imbalance diagnostics).

@@ -1,6 +1,5 @@
 #include "slfe/core/guidance_provider.h"
 
-#include <thread>
 #include <utility>
 
 #include "slfe/common/timer.h"
@@ -303,17 +302,13 @@ std::shared_ptr<const RRGuidance> GuidanceProvider::TryRepair(
 
 std::shared_ptr<const RRGuidance> GuidanceProvider::GenerateNow(
     const Graph& graph, const std::vector<VertexId>& roots) {
-  // The pool's ParallelRun is single-job; serialize generators on it.
-  // (Concurrent misses on one key never reach here twice — singleflight
-  // coalesces them — so this lock only queues sweeps for DIFFERENT keys,
-  // which would otherwise fight over the workers.)
-  std::lock_guard<std::mutex> lock(pool_mu_);
+  // Singleflight sends each key here once; misses on different keys sweep
+  // concurrently, each on its own caller's thread. AcquireInternal has
+  // already rejected empty root sets, so Generate's empty-roots warning
+  // never fires on this path.
   Timer generation_timer;
-  // Partitioned with a pool, serial without. AcquireInternal has already
-  // rejected empty root sets, so Generate's empty-roots warning never
-  // fires on this path.
-  auto guidance = std::make_shared<const RRGuidance>(
-      RRGuidance::Generate(graph, roots, GenerationPool()));
+  auto guidance =
+      std::make_shared<const RRGuidance>(RRGuidance::Generate(graph, roots));
   if (generation_hist_ != nullptr) {
     generation_hist_->Observe(generation_timer.Seconds());
   }
@@ -353,22 +348,6 @@ void GuidanceProvider::ClearNegativeCache() {
 GuidanceProviderStats GuidanceProvider::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
-}
-
-size_t GuidanceProvider::generation_threads() const {
-  size_t t = options_.generation_threads;
-  if (t == 0) {
-    t = std::thread::hardware_concurrency();
-    if (t == 0) t = 1;
-  }
-  return t;
-}
-
-ThreadPool* GuidanceProvider::GenerationPool() {
-  size_t t = generation_threads();
-  if (t <= 1) return nullptr;  // serial reference path
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(t);
-  return pool_.get();
 }
 
 }  // namespace slfe

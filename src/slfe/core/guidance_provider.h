@@ -11,7 +11,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "slfe/common/thread_pool.h"
 #include "slfe/core/guidance_cache.h"
 #include "slfe/obs/metrics.h"
 #include "slfe/core/guidance_store.h"
@@ -91,10 +90,6 @@ struct GuidanceRepairOptions {
 struct GuidanceProviderOptions {
   /// Maximum cached (graph, roots) entries.
   size_t cache_capacity = 32;
-  /// Workers for guidance generation; 0 = hardware concurrency. More than
-  /// one worker runs RRGuidance::GeneratePartitioned; exactly 1 runs the
-  /// serial reference sweep. Both produce bit-identical guidance.
-  size_t generation_threads = 0;
   /// Non-empty = persist cache entries as fingerprint-keyed files in this
   /// directory (typically next to the ooc shard files), so the §4.4
   /// amortization survives process restarts. Empty = in-memory only.
@@ -212,10 +207,6 @@ class GuidanceProvider {
   /// Forgets every negatively cached request.
   void ClearNegativeCache();
 
-  /// Number of workers generation will use (resolves the 0 = hardware
-  /// default).
-  size_t generation_threads() const;
-
  private:
   /// A negatively cached request: the graph plus the policy inputs that
   /// produced an empty root set.
@@ -267,7 +258,8 @@ class GuidanceProvider {
                                       bool use_cache,
                                       const GuidanceRequest* request);
 
-  /// The uncached sweep (leader path); counts a generation.
+  /// The uncached sweep (leader path), run on the calling thread; counts a
+  /// generation.
   std::shared_ptr<const RRGuidance> GenerateNow(
       const Graph& graph, const std::vector<VertexId>& roots);
 
@@ -280,14 +272,9 @@ class GuidanceProvider {
       const Graph& graph, const std::vector<VertexId>& roots,
       const GuidanceRequest* request);
 
-  ThreadPool* GenerationPool();
-
   GuidanceProviderOptions options_;
   GuidanceCache cache_;
   std::shared_ptr<GuidanceStore> store_;  // null = in-memory only
-
-  std::mutex pool_mu_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily built, serial mode = none
 
   std::mutex flights_mu_;
   std::unordered_map<GuidanceKey, std::shared_ptr<Flight>, GuidanceKeyHash>

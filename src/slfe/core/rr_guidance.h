@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "slfe/common/status.h"
-#include "slfe/common/thread_pool.h"
-#include "slfe/common/timer.h"
 #include "slfe/graph/graph.h"
 #include "slfe/graph/types.h"
 
@@ -57,39 +55,16 @@ class RRGuidance {
   /// visited, all-zero lastIter): legal, but it disables all redundancy
   /// reduction for that run, so Generate warns when it sees one.
   ///
-  /// When `pool` is non-null (and has more than one worker) the sweep runs
-  /// partition-parallel; results are bit-identical to the serial reference.
+  /// The sweep is serial and runs on the calling thread: the provider
+  /// calls it from the job worker that missed, so misses on different
+  /// graphs sweep in parallel on their own workers.
   static RRGuidance Generate(const Graph& graph,
-                             const std::vector<VertexId>& roots,
-                             ThreadPool* pool = nullptr);
-
-  /// The single-threaded reference sweep (paper Algorithm 1, frontier
-  /// form). Kept as the equivalence baseline for GeneratePartitioned.
-  static RRGuidance GenerateSerial(const Graph& graph,
-                                   const std::vector<VertexId>& roots);
-
-  /// Partition-aware parallel sweep: vertices are split into the same
-  /// edge-balanced contiguous ranges DistGraph::Build assigns its nodes
-  /// (one per pool worker), each worker keeps a frontier buffer for its
-  /// own range, and the dense-pull phase touches only owned vertices (the
-  /// NUMA story: one socket, one range). The sparse-push phase drains the
-  /// per-partition frontiers through WorkStealingScheduler::RunBands —
-  /// own band first, steal leftovers — and the frontier-edge count that
-  /// drives push/pull switching is fused into the discovery path (each
-  /// newly visited vertex contributes its out-degree as it is enqueued),
-  /// so no iteration pays a separate counting pass. Push-phase stealing
-  /// uses WorkStealingScheduler::kMiniChunk. Bit-identical to the serial
-  /// reference.
-  static RRGuidance GeneratePartitioned(const Graph& graph,
-                                        const std::vector<VertexId>& roots,
-                                        ThreadPool& pool,
-                                        double dense_fraction = 0.05);
+                             const std::vector<VertexId>& roots);
 
   /// Convenience: sweep from the graph's natural propagation sources
   /// (zero-in-degree vertices, falling back to vertex 0 on cycle-bound
   /// graphs) — the entry point for all-vertices apps (CC/PR-style).
-  static RRGuidance GenerateAllRoots(const Graph& graph,
-                                     ThreadPool* pool = nullptr);
+  static RRGuidance GenerateAllRoots(const Graph& graph);
 
   /// Reassembles a guidance object from previously generated parts — the
   /// deserialization entry point for GuidanceStore. `generation_seconds` is
@@ -103,7 +78,7 @@ class RRGuidance {
                               uint32_t depth, std::vector<uint32_t> levels);
 
   /// Incrementally repairs `old_guidance` (generated on the pre-delta
-  /// graph for `old_roots`) into the guidance GenerateSerial(new_graph,
+  /// graph for `old_roots`) into the guidance Generate(new_graph,
   /// new_roots) would produce — bit-identical in last_iter, visited,
   /// depth, AND levels (tests/guidance_repair_test.cc is the differential
   /// proof). Two-phase incremental BFS in the Ramalingam–Reps tradition:
@@ -145,9 +120,8 @@ class RRGuidance {
 
   /// BFS level (unweighted distance from the root set) per vertex, or
   /// kUnreachableLevel for vertices the sweep never reached. Levels are a
-  /// derived-deterministic plane — BFS distance is unique, so the serial
-  /// and partitioned sweeps record bit-identical levels — and they are what
-  /// makes incremental Repair possible: last_iter(v) alone (= max over
+  /// derived-deterministic plane (BFS distance is unique), and they are
+  /// what makes incremental Repair possible: last_iter(v) alone (= max over
   /// visited in-neighbors u of level(u)+1) cannot be patched without
   /// knowing the levels it was derived from. False only for guidance
   /// reloaded from a pre-levels store codec.
@@ -160,15 +134,6 @@ class RRGuidance {
 
   /// Wall time spent generating the guidance (Fig. 8 numerator).
   double generation_seconds() const { return generation_seconds_; }
-
-  /// The share of generation_seconds spent on per-iteration parallel
-  /// bookkeeping rather than edge traversal: the dense-phase frontier
-  /// bitmap fill and the next-frontier merge (which also folds in the
-  /// frontier-edge count). Zero for the serial sweep, which has none;
-  /// one-time setup (partitioning the vertex space) is deliberately
-  /// excluded. This is what makes the serial-vs-parallel
-  /// crossover measurable on few-core hosts (bench_fig8b).
-  double bookkeeping_seconds() const { return bookkeeping_seconds_; }
 
   /// The guidance is reusable across applications on the same graph
   /// (paper §4.4: Facebook runs ~8.7 jobs per graph); GuidanceCache /
@@ -184,7 +149,6 @@ class RRGuidance {
   std::vector<uint32_t> levels_;
   uint32_t depth_ = 0;
   double generation_seconds_ = 0;
-  double bookkeeping_seconds_ = 0;
 };
 
 /// Stability horizon for "finish early" (Algorithm 5): how many

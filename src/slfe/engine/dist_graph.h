@@ -32,9 +32,9 @@ class DistGraph {
                                    std::vector<VertexRange> ranges);
 
   /// Just the ownership ranges Build would produce — exported so other
-  /// range-partitioned work (the partition-aware guidance generator) slices
-  /// vertices exactly the way the distributed engine does, keeping each
-  /// worker/socket on the vertex range it would own at execution time.
+  /// range-partitioned work (ShmEngine's per-thread slices, the arena's
+  /// persisted partition) slices vertices exactly the way the distributed
+  /// engine does.
   static std::vector<VertexRange> BuildRanges(const Graph& graph,
                                               int num_nodes);
 

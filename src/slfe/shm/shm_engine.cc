@@ -14,10 +14,8 @@ ShmEngine::ShmEngine(const Graph& graph, size_t num_threads)
     : graph_(graph),
       pool_(num_threads),
       // One contiguous vertex range per worker, cut exactly where
-      // DistGraph::Build (and the partition-aware guidance sweep) would
-      // cut them — edge-balanced, so both EdgeMap directions stay
-      // load-balanced and every layer pins the same slice to the same
-      // worker.
+      // DistGraph::Build would cut them — edge-balanced, so both EdgeMap
+      // directions stay load-balanced.
       ranges_(DistGraph::BuildRanges(graph,
                                      static_cast<int>(pool_.num_threads()))) {}
 

@@ -36,10 +36,7 @@ class ShmEngine {
   using CondFn = std::function<bool(VertexId)>;
 
   /// Per-thread vertex ownership uses the same edge-balanced contiguous
-  /// ranges DistGraph::Build cuts for a cluster of num_threads nodes, so
-  /// engine execution and the partition-aware guidance sweep
-  /// (RRGuidance::GeneratePartitioned) pin identical slices — a worker
-  /// that preprocessed a range also executes it.
+  /// ranges DistGraph::Build cuts for a cluster of num_threads nodes.
   ShmEngine(const Graph& graph, size_t num_threads);
 
   /// One edgeMap step: applies `update` across the frontier's edges and
@@ -55,9 +52,8 @@ class ShmEngine {
   const Graph& graph() const { return graph_; }
   ThreadPool& pool() { return pool_; }
 
-  /// The per-worker vertex ranges (one per pool thread) — exactly
-  /// DistGraph::BuildRanges(graph, num_threads), exported so callers can
-  /// assert the engine and the guidance generator slice identically.
+  /// The per-worker vertex ranges (one per pool thread): exactly
+  /// DistGraph::BuildRanges(graph, num_threads).
   const std::vector<VertexRange>& ranges() const { return ranges_; }
 
  private:

@@ -214,11 +214,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, ShmThreadsTest,
                          ::testing::Values(1, 2, 4));
 
 TEST(ShmEngineTest, RangesMatchDistGraphBuildRanges) {
-  // Preprocessing/execution pinning (ROADMAP "extend the partition-aware
-  // path end-to-end"): the engine's per-worker slices must be the exact
-  // ranges DistGraph::BuildRanges cuts — the same ones the partitioned
-  // guidance generator sweeps — so a vertex is always handled by the
-  // worker that owns its range in both phases.
+  // The engine's per-worker slices are the exact edge-balanced ranges
+  // DistGraph::BuildRanges cuts for a cluster of the same size.
   Graph g = WeightedRmat(300, 2400, 11);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     shm::ShmEngine engine(g, threads);

@@ -13,7 +13,6 @@
 #include "slfe/common/random.h"
 #include "slfe/common/status.h"
 #include "slfe/common/thread_pool.h"
-#include "slfe/common/timer.h"
 #include "slfe/common/work_stealing.h"
 
 namespace slfe {
@@ -299,32 +298,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 255, 256, 257, 10000),
                        ::testing::Bool()));
 
-TEST(WorkStealingTest, RunBandsHonorsMiniChunk) {
-  // Band sizes straddle the mini-chunk: a band over two chunks, an empty
-  // band, one just over, one exactly at, and one single item.
-  constexpr size_t kChunk = WorkStealingScheduler::kMiniChunk;
-  ThreadPool pool(4);
-  WorkStealingScheduler scheduler(true);
-  std::vector<size_t> sizes = {600, 0, 257, 256, 1};
-  std::vector<std::vector<std::atomic<int>>> hits;
-  for (size_t s : sizes) hits.emplace_back(s);
-  auto chunks = scheduler.RunBands(
-      pool, sizes, [&](size_t, size_t band, size_t lo, size_t hi) {
-        EXPECT_LE(hi - lo, kChunk);
-        for (size_t i = lo; i < hi; ++i) hits[band][i].fetch_add(1);
-      });
-  uint64_t total = 0;
-  for (uint64_t c : chunks) total += c;
-  uint64_t want_chunks = 0;
-  for (size_t b = 0; b < sizes.size(); ++b) {
-    want_chunks += (sizes[b] + kChunk - 1) / kChunk;
-    for (size_t i = 0; i < sizes[b]; ++i) {
-      ASSERT_EQ(hits[b][i].load(), 1) << "band " << b << " item " << i;
-    }
-  }
-  EXPECT_EQ(total, want_chunks);
-}
-
 TEST(WorkStealingTest, StealingRebalancesSkewedWork) {
   // Worker 0's band gets all the heavy chunks; with stealing enabled the
   // other workers should take over some of them.
@@ -340,20 +313,6 @@ TEST(WorkStealingTest, StealingRebalancesSkewedWork) {
   uint64_t total = 0;
   for (uint64_t c : chunks) total += c;
   EXPECT_EQ(total, 16u);  // 4096 / 256
-}
-
-// ---------------------------------------------------------------- Timer
-
-TEST(TimerTest, AccumTimerSumsIntervals) {
-  AccumTimer t;
-  t.Start();
-  t.Stop();
-  double first = t.Seconds();
-  t.Start();
-  t.Stop();
-  EXPECT_GE(t.Seconds(), first);
-  t.Reset();
-  EXPECT_EQ(t.Seconds(), 0.0);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ namespace {
 
 std::shared_ptr<const RRGuidance> Gen(const Graph& g,
                                       const std::vector<VertexId>& roots) {
-  return std::make_shared<const RRGuidance>(RRGuidance::GenerateSerial(g, roots));
+  return std::make_shared<const RRGuidance>(RRGuidance::Generate(g, roots));
 }
 
 /// Field-by-field equality of two guidance objects (the arrays the store
@@ -45,7 +45,6 @@ GuidanceProviderOptions StoreOptions(const std::string& name,
                                      size_t cache_capacity = 32) {
   GuidanceProviderOptions options;
   options.cache_capacity = cache_capacity;
-  options.generation_threads = 1;
   options.store_dir = ::testing::TempDir() + name;
   return options;
 }
@@ -241,7 +240,6 @@ TEST(GuidanceProviderTest, ConcurrentMissesGenerateExactlyOnce) {
   Graph g = Graph::FromEdges(GenerateRmat(opt));
 
   GuidanceProviderOptions popt;
-  popt.generation_threads = 1;
   GuidanceProvider provider(popt);
 
   constexpr int kThreads = 8;
@@ -336,7 +334,7 @@ TEST(GuidanceStoreIntegrationTest, SpillClearReloadMatchesRegeneration) {
   EXPECT_EQ(provider.stats().generations, 1u);  // the reload swept nothing
 
   // The store round-trip must be indistinguishable from a fresh sweep.
-  RRGuidance fresh = RRGuidance::GenerateSerial(g, SelectLocalMinimaRoots(g));
+  RRGuidance fresh = RRGuidance::Generate(g, SelectLocalMinimaRoots(g));
   ExpectGuidanceEqual(*reloaded.guidance, fresh);
   ExpectGuidanceEqual(*reloaded.guidance, *generated.guidance);
 }

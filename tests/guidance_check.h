@@ -1,88 +1,99 @@
-// Shared checks for the guidance generation tests: the serial sweep is the
-// reference, and the partitioned sweep, the Generate dispatcher and the
-// provider (at 1 and 4 generation threads) must reproduce it bit for bit.
+// Shared checks for the guidance generation tests: an independent
+// multi-source BFS is the oracle, and the guidance from RRGuidance::Generate
+// and from a provider must match it in every visited flag, last_iter,
+// level and the depth.
 
 #ifndef SLFE_TESTS_GUIDANCE_CHECK_H_
 #define SLFE_TESTS_GUIDANCE_CHECK_H_
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
-#include "slfe/common/thread_pool.h"
 #include "slfe/core/guidance_provider.h"
 #include "slfe/core/rr_guidance.h"
 
 namespace slfe {
 
-inline void ExpectBitIdentical(const RRGuidance& want, const RRGuidance& got,
-                               const std::string& label) {
-  ASSERT_EQ(want.num_vertices(), got.num_vertices()) << label;
-  ASSERT_EQ(want.depth(), got.depth()) << label;
-  ASSERT_TRUE(want.has_levels()) << label;
-  ASSERT_TRUE(got.has_levels()) << label;
-  for (VertexId v = 0; v < want.num_vertices(); ++v) {
-    ASSERT_EQ(want.last_iter(v), got.last_iter(v))
-        << label << " last_iter mismatch at v=" << v;
-    ASSERT_EQ(want.visited(v), got.visited(v))
-        << label << " visited mismatch at v=" << v;
-    ASSERT_EQ(want.level(v), got.level(v))
-        << label << " level mismatch at v=" << v;
+/// Multi-source BFS levels over out-edges; UINT32_MAX marks vertices no
+/// root reaches. Shares no code with the guidance sweep.
+inline std::vector<uint32_t> MultiSourceBfs(
+    const Graph& g, const std::vector<VertexId>& roots) {
+  std::vector<uint32_t> level(g.num_vertices(), UINT32_MAX);
+  std::queue<VertexId> q;
+  for (VertexId r : roots) {
+    if (level[r] == UINT32_MAX) {
+      level[r] = 0;
+      q.push(r);
+    }
   }
+  while (!q.empty()) {
+    VertexId v = q.front();
+    q.pop();
+    g.out().ForEachNeighbor(v, [&](VertexId u, Weight) {
+      if (level[u] == UINT32_MAX) {
+        level[u] = level[v] + 1;
+        q.push(u);
+      }
+    });
+  }
+  return level;
 }
 
-/// Guidance a fresh provider hands out for `roots` when it generates with
-/// `threads` workers (1 = serial sweep, more = partitioned sweep).
+/// Asserts `rrg` is the guidance of `g` for `roots`:
+///  * visited(v) == v is reachable from the root set;
+///  * level(v) == its BFS level (kUnreachableLevel when unreachable);
+///  * last_iter(v) == 1 + the max BFS level over reachable in-neighbors,
+///    0 when none is reachable;
+///  * depth() == the largest last_iter, 0 when nothing was assigned.
+inline void CheckGuidanceInvariant(const Graph& g,
+                                   const std::vector<VertexId>& roots,
+                                   const RRGuidance& rrg,
+                                   const std::string& label) {
+  std::vector<uint32_t> level = MultiSourceBfs(g, roots);
+  ASSERT_EQ(rrg.num_vertices(), g.num_vertices()) << label;
+  ASSERT_TRUE(rrg.has_levels()) << label;
+  uint32_t want_depth = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    bool reachable = level[v] != UINT32_MAX;
+    ASSERT_EQ(rrg.visited(v), reachable) << label << " visited at v=" << v;
+    ASSERT_EQ(rrg.level(v),
+              reachable ? level[v] : RRGuidance::kUnreachableLevel)
+        << label << " level at v=" << v;
+    uint32_t want = 0;
+    g.in().ForEachNeighbor(v, [&](VertexId u, Weight) {
+      if (level[u] != UINT32_MAX) want = std::max(want, level[u] + 1);
+    });
+    ASSERT_EQ(rrg.last_iter(v), want) << label << " last_iter at v=" << v;
+    want_depth = std::max(want_depth, want);
+  }
+  ASSERT_EQ(rrg.depth(), want_depth) << label << " depth";
+}
+
+/// Guidance a fresh provider hands out for `roots`; exactly one sweep.
 inline std::shared_ptr<const RRGuidance> ProviderGuidance(
-    const Graph& g, const std::vector<VertexId>& roots, size_t threads) {
-  GuidanceProviderOptions opt;
-  opt.generation_threads = threads;
-  GuidanceProvider provider(opt);
+    const Graph& g, const std::vector<VertexId>& roots) {
+  GuidanceProvider provider;
   GuidanceAcquisition a = provider.AcquireForRoots(g, roots);
-  EXPECT_TRUE(a) << "threads=" << threads;
-  EXPECT_EQ(provider.stats().generations, 1u) << "threads=" << threads;
+  EXPECT_TRUE(a);
+  EXPECT_EQ(provider.stats().generations, 1u);
   return a.guidance;
 }
 
-/// The differential core: serial == partitioned for every worker count
-/// and both forced directions plus the adaptive default, then the same
-/// through the Generate dispatcher and the provider.
-inline void CheckAgainstSerial(const Graph& g,
-                               const std::vector<VertexId>& roots,
-                               const std::string& label) {
-  RRGuidance serial = RRGuidance::GenerateSerial(g, roots);
-  for (size_t workers : {2u, 3u, 4u, 5u}) {
-    ThreadPool pool(workers);
-    // Fraction 0 forces pull every iteration; a huge fraction forces
-    // push — both must match the reference independently of the
-    // heuristic.
-    for (double fraction : {0.05, 0.0, 1e18}) {
-      ExpectBitIdentical(
-          serial, RRGuidance::GeneratePartitioned(g, roots, pool, fraction),
-          label + " workers=" + std::to_string(workers) +
-              " fraction=" + std::to_string(fraction));
-    }
-  }
-  // Degenerate pool: one worker owns the whole vertex range.
-  ThreadPool single(1);
-  ExpectBitIdentical(serial,
-                     RRGuidance::GeneratePartitioned(g, roots, single),
-                     label + " partitioned single worker");
-  ThreadPool pool(4);
-  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, &pool),
-                     label + " dispatch pool");
-  ExpectBitIdentical(serial, RRGuidance::Generate(g, roots, nullptr),
-                     label + " dispatch null pool");
+/// Checks Generate, and a provider's guidance when the provider accepts
+/// the root set, against the BFS oracle.
+inline void CheckGuidance(const Graph& g, const std::vector<VertexId>& roots,
+                          const std::string& label) {
+  CheckGuidanceInvariant(g, roots, RRGuidance::Generate(g, roots),
+                         label + " Generate");
   if (roots.empty()) return;  // the provider refuses empty root sets
-  for (size_t threads : {1u, 4u}) {
-    std::shared_ptr<const RRGuidance> got =
-        ProviderGuidance(g, roots, threads);
-    ASSERT_NE(got, nullptr) << label;
-    ExpectBitIdentical(serial, *got,
-                       label + " provider threads=" + std::to_string(threads));
-  }
+  std::shared_ptr<const RRGuidance> got = ProviderGuidance(g, roots);
+  ASSERT_NE(got, nullptr) << label;
+  CheckGuidanceInvariant(g, roots, *got, label + " provider");
 }
 
 }  // namespace slfe

@@ -4,11 +4,10 @@
 // applied version by version, and at EVERY version the repaired guidance
 // (RRGuidance::Repair over the previous version's guidance) must be
 // bit-identical — last_iter, visited, depth, AND the levels plane — to a
-// fresh GenerateSerial on the post-delta graph. The repaired output of
-// step k seeds the repair of step k+1, so a single bit of drift anywhere
-// in the chain compounds and fails loudly. This is the proof obligation
-// that lets the provider treat repair as a pure performance choice, the
-// same way guidance_partition_test locks down the parallel generators.
+// fresh Generate on the post-delta graph. The repaired output of step k
+// seeds the repair of step k+1, so a single bit of drift anywhere in the
+// chain compounds and fails loudly. This is the proof obligation that
+// lets the provider treat repair as a pure performance choice.
 
 #include <gtest/gtest.h>
 
@@ -143,7 +142,7 @@ void RunMutationChain(Graph graph, std::vector<VertexId> roots,
                       bool allow_growth) {
   if (roots.empty()) return;
   std::mt19937_64 rng(seed * 0x51afd6ed558ccd65ull + 7);
-  RRGuidance current = RRGuidance::GenerateSerial(graph, roots);
+  RRGuidance current = RRGuidance::Generate(graph, roots);
   ASSERT_TRUE(current.has_levels()) << label;
   constexpr BatchKind kCycle[] = {BatchKind::kInsertOnly,
                                   BatchKind::kDeleteOnly, BatchKind::kMixed};
@@ -156,7 +155,7 @@ void RunMutationChain(Graph graph, std::vector<VertexId> roots,
         next.value(), delta, current, roots, roots, 1.0, &stats);
     std::string tag = label + " step " + std::to_string(step);
     ASSERT_TRUE(repaired.ok()) << tag << ": " << repaired.status().ToString();
-    RRGuidance fresh = RRGuidance::GenerateSerial(next.value(), roots);
+    RRGuidance fresh = RRGuidance::Generate(next.value(), roots);
     ExpectGuidanceIdentical(fresh, repaired.value(), tag);
     EXPECT_LE(stats.invalidated, next.value().num_vertices()) << tag;
     graph = std::move(next).value();
@@ -178,18 +177,6 @@ TEST_P(GuidanceRepairTest, RepairedEqualsRegeneratedAcrossMutationChains) {
                    /*allow_growth=*/false);
 }
 
-TEST_P(GuidanceRepairTest, LevelsPlaneIdenticalAcrossGenerationSweeps) {
-  // Repair seeds on whichever sweep generated the predecessor, so the
-  // levels plane must be sweep-independent the same way last_iter is.
-  Graph g = MakeShapeGraph(GetParam());
-  std::vector<VertexId> roots = RandomRoots(g, GetParam().seed, 4);
-  RRGuidance serial = RRGuidance::GenerateSerial(g, roots);
-  ThreadPool pool(3);
-  ExpectGuidanceIdentical(serial,
-                          RRGuidance::GeneratePartitioned(g, roots, pool),
-                          "partitioned levels");
-}
-
 // ----------------------------------------------------------- edge cases
 
 TEST(GuidanceRepairEdgeCases, DeltaSeveringTheRootEdge) {
@@ -202,9 +189,9 @@ TEST(GuidanceRepairEdgeCases, DeltaSeveringTheRootEdge) {
   ASSERT_TRUE(next.ok());
   auto repaired =
       RRGuidance::Repair(next.value(), delta,
-                         RRGuidance::GenerateSerial(chain, {0}), {0}, {0});
+                         RRGuidance::Generate(chain, {0}), {0}, {0});
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(next.value(), {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(next.value(), {0}),
                           repaired.value(), "severed root edge");
 }
 
@@ -213,15 +200,15 @@ TEST(GuidanceRepairEdgeCases, RootSetChangesWithEmptyDelta) {
   // and addition (a mid-chain vertex becomes a root) both repair.
   Graph chain = Graph::FromEdges(GenerateChain(25));
   GraphDelta empty;
-  RRGuidance both = RRGuidance::GenerateSerial(chain, {0, 12});
+  RRGuidance both = RRGuidance::Generate(chain, {0, 12});
   auto removed = RRGuidance::Repair(chain, empty, both, {0, 12}, {0});
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(chain, {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(chain, {0}),
                           removed.value(), "root removed");
-  RRGuidance solo = RRGuidance::GenerateSerial(chain, {0});
+  RRGuidance solo = RRGuidance::Generate(chain, {0});
   auto added = RRGuidance::Repair(chain, empty, solo, {0}, {0, 12});
   ASSERT_TRUE(added.ok()) << added.status().ToString();
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(chain, {0, 12}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(chain, {0, 12}),
                           added.value(), "root added");
 }
 
@@ -232,7 +219,7 @@ TEST(GuidanceRepairEdgeCases, DeltaEmptyingAComponent) {
   for (VertexId v = 0; v < 9; ++v) e.Add(v, v + 1);
   for (VertexId v = 10; v < 19; ++v) e.Add(v, v + 1);
   Graph g = Graph::FromEdges(e);
-  RRGuidance old_guidance = RRGuidance::GenerateSerial(g, {0, 10});
+  RRGuidance old_guidance = RRGuidance::Generate(g, {0, 10});
   GraphDelta delta;
   for (VertexId v = 10; v < 19; ++v) delta.erase.emplace_back(v, v + 1);
   Result<Graph> next = ApplyDelta(g, delta);
@@ -240,7 +227,7 @@ TEST(GuidanceRepairEdgeCases, DeltaEmptyingAComponent) {
   auto repaired =
       RRGuidance::Repair(next.value(), delta, old_guidance, {0, 10}, {0});
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(next.value(), {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(next.value(), {0}),
                           repaired.value(), "emptied component");
   for (VertexId v = 10; v < 20; ++v) {
     EXPECT_FALSE(repaired.value().visited(v)) << "v=" << v;
@@ -251,7 +238,7 @@ TEST(GuidanceRepairEdgeCases, DeltaEmptyingAComponent) {
 
 TEST(GuidanceRepairEdgeCases, NoOpDeltaIsAnIdentityRepair) {
   Graph g = Graph::FromEdges(GenerateStar(12));
-  RRGuidance old_guidance = RRGuidance::GenerateSerial(g, {0});
+  RRGuidance old_guidance = RRGuidance::Generate(g, {0});
   GuidanceRepairStats stats;
   auto repaired = RRGuidance::Repair(g, GraphDelta{}, old_guidance, {0}, {0},
                                      1.0, &stats);
@@ -272,16 +259,16 @@ TEST(GuidanceRepairEdgeCases, AddedRootInTheGrownRegion) {
   ASSERT_TRUE(next.ok());
   auto repaired =
       RRGuidance::Repair(next.value(), delta,
-                         RRGuidance::GenerateSerial(chain, {0}), {0}, {0, 12});
+                         RRGuidance::Generate(chain, {0}), {0}, {0, 12});
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(next.value(), {0, 12}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(next.value(), {0, 12}),
                           repaired.value(), "grown root");
 }
 
 TEST(GuidanceRepairEdgeCases, LevelslessPredecessorIsFailedPrecondition) {
   // Guidance reloaded from a pre-levels store codec cannot seed a repair.
   Graph g = Graph::FromEdges(GenerateChain(6));
-  RRGuidance full = RRGuidance::GenerateSerial(g, {0});
+  RRGuidance full = RRGuidance::Generate(g, {0});
   std::vector<VertexGuidance> records(full.raw());
   RRGuidance levelless = RRGuidance::FromParts(std::move(records),
                                                full.depth());
@@ -301,7 +288,7 @@ TEST(GuidanceRepairEdgeCases, CascadeBoundAbortsOversizedRepairs) {
   delta.erase.emplace_back(0, 1);
   Result<Graph> next = ApplyDelta(chain, delta);
   ASSERT_TRUE(next.ok());
-  RRGuidance old_guidance = RRGuidance::GenerateSerial(chain, {0});
+  RRGuidance old_guidance = RRGuidance::Generate(chain, {0});
   EXPECT_EQ(RRGuidance::Repair(next.value(), delta, old_guidance, {0}, {0},
                                /*max_affected_fraction=*/0.1)
                 .status()
@@ -311,7 +298,7 @@ TEST(GuidanceRepairEdgeCases, CascadeBoundAbortsOversizedRepairs) {
   auto unbounded =
       RRGuidance::Repair(next.value(), delta, old_guidance, {0}, {0});
   ASSERT_TRUE(unbounded.ok());
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(next.value(), {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(next.value(), {0}),
                           unbounded.value(), "unbounded fallback");
 }
 
@@ -325,10 +312,10 @@ TEST(GuidanceRepairEdgeCases, TailDeletionStaysLocal) {
   ASSERT_TRUE(next.ok());
   GuidanceRepairStats stats;
   auto repaired = RRGuidance::Repair(next.value(), delta,
-                                     RRGuidance::GenerateSerial(chain, {0}),
+                                     RRGuidance::Generate(chain, {0}),
                                      {0}, {0}, 1.0, &stats);
   ASSERT_TRUE(repaired.ok());
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(next.value(), {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(next.value(), {0}),
                           repaired.value(), "tail deletion");
   EXPECT_EQ(stats.invalidated, 1u);
   EXPECT_EQ(stats.level_changes, 1u);
@@ -339,7 +326,6 @@ TEST(GuidanceRepairEdgeCases, TailDeletionStaysLocal) {
 
 TEST(GuidanceProviderRepair, MissAfterRecordedMutationIsServedByRepair) {
   GuidanceProviderOptions options;
-  options.generation_threads = 1;
   GuidanceProvider provider(options);
   auto g1 = std::make_shared<const Graph>(Graph::FromEdges(GenerateChain(40)));
   GuidanceAcquisition first = provider.AcquireForRoots(*g1, {0});
@@ -362,7 +348,7 @@ TEST(GuidanceProviderRepair, MissAfterRecordedMutationIsServedByRepair) {
   EXPECT_EQ(stats.repairs, 1u);
   EXPECT_EQ(stats.repair_fallbacks, 0u);
   EXPECT_EQ(stats.generations, 1u);  // the repair replaced the second sweep
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(*g2, {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(*g2, {0}),
                           *second.guidance, "provider repair");
 
   // The repaired entry is cached like any generated one.
@@ -372,7 +358,6 @@ TEST(GuidanceProviderRepair, MissAfterRecordedMutationIsServedByRepair) {
 
 TEST(GuidanceProviderRepair, PolicyPathRepairsWithRederivedOldRoots) {
   GuidanceProviderOptions options;
-  options.generation_threads = 1;
   GuidanceProvider provider(options);
   auto g1 = std::make_shared<const Graph>(Graph::FromEdges(GenerateChain(30)));
   GuidanceRequest request;
@@ -390,13 +375,12 @@ TEST(GuidanceProviderRepair, PolicyPathRepairsWithRederivedOldRoots) {
   GuidanceAcquisition repaired = provider.Acquire(*g2, request);
   ASSERT_TRUE(repaired);
   EXPECT_TRUE(repaired.repaired);
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(*g2, {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(*g2, {0}),
                           *repaired.guidance, "policy repair");
 }
 
 TEST(GuidanceProviderRepair, OversizedDeltaFallsBackToRegeneration) {
   GuidanceProviderOptions options;
-  options.generation_threads = 1;
   options.repair.max_delta_fraction = 0.0;  // every non-empty delta is "big"
   GuidanceProvider provider(options);
   auto g1 = std::make_shared<const Graph>(Graph::FromEdges(GenerateChain(20)));
@@ -417,7 +401,7 @@ TEST(GuidanceProviderRepair, OversizedDeltaFallsBackToRegeneration) {
   EXPECT_EQ(stats.repair_fallbacks, 1u);
   EXPECT_EQ(stats.generations, 2u);
   // Fallback still yields correct guidance, just via the sweep.
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(*g2, {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(*g2, {0}),
                           *second.guidance, "fallback guidance");
 }
 
@@ -425,7 +409,6 @@ TEST(GuidanceProviderRepair, UnrecordedMutationIsNotCountedAsFallback) {
   // No lineage = nothing to repair = a plain generation, not a "repair
   // fallback" (the counter means "we tried and bailed").
   GuidanceProviderOptions options;
-  options.generation_threads = 1;
   GuidanceProvider provider(options);
   Graph g = Graph::FromEdges(GenerateChain(10));
   ASSERT_TRUE(provider.AcquireForRoots(g, {0}));
@@ -452,7 +435,6 @@ TEST(GuidanceProviderRepair, WarmRestartRepairsFromStoredGuidance) {
   auto g2 = std::make_shared<const Graph>(std::move(next).value());
 
   GuidanceProviderOptions options;
-  options.generation_threads = 1;
   options.store_dir = dir;
   {
     GuidanceProvider writer(options);
@@ -465,7 +447,7 @@ TEST(GuidanceProviderRepair, WarmRestartRepairsFromStoredGuidance) {
   EXPECT_TRUE(repaired.repaired)
       << "store-loaded predecessor guidance must carry its levels plane";
   EXPECT_EQ(reader.stats().generations, 0u);
-  ExpectGuidanceIdentical(RRGuidance::GenerateSerial(*g2, {0}),
+  ExpectGuidanceIdentical(RRGuidance::Generate(*g2, {0}),
                           *repaired.guidance, "warm-restart repair");
 }
 

@@ -63,7 +63,7 @@ struct GcFixture {
       std::vector<VertexId> roots = {static_cast<VertexId>(i)};
       GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
       EXPECT_TRUE(
-          store.Save(key, RRGuidance::GenerateSerial(graph, roots)).ok());
+          store.Save(key, RRGuidance::Generate(graph, roots)).ok());
       keys.push_back(key);
       paths.push_back(store.EntryPath(key));
     }
@@ -100,7 +100,7 @@ TEST(GuidanceStoreGcTest, TtlRemovesExactlyTheExpired) {
     std::vector<VertexId> roots = {r};
     GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
     ASSERT_TRUE(
-        store.Save(key, RRGuidance::GenerateSerial(graph, roots)).ok());
+        store.Save(key, RRGuidance::Generate(graph, roots)).ok());
     keys.push_back(key);
   }
   // Entries 0 and 2 are past the TTL; 1 and 3 are comfortably inside.
@@ -136,7 +136,7 @@ TEST(GuidanceStoreGcTest, EntryBudgetEvictsOldestFirst) {
     std::vector<VertexId> roots = {r};
     GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
     ASSERT_TRUE(
-        store.Save(key, RRGuidance::GenerateSerial(graph, roots)).ok());
+        store.Save(key, RRGuidance::Generate(graph, roots)).ok());
     keys.push_back(key);
     // Strictly decreasing age by index: key 0 is the stalest.
     SetAge(store.EntryPath(key), 500.0 - 100.0 * r);
@@ -166,7 +166,7 @@ TEST(GuidanceStoreGcTest, ByteBudgetEvictsOldestFirst) {
     std::vector<VertexId> roots = {r};
     GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
     ASSERT_TRUE(
-        store.Save(key, RRGuidance::GenerateSerial(graph, roots)).ok());
+        store.Save(key, RRGuidance::Generate(graph, roots)).ok());
     keys.push_back(key);
     SetAge(store.EntryPath(key), 400.0 - 100.0 * r);
   }
@@ -194,7 +194,7 @@ TEST(GuidanceStoreGcTest, ConstructionSweepEnforcesBudget) {
       std::vector<VertexId> roots = {r};
       GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
       ASSERT_TRUE(
-          staging.Save(key, RRGuidance::GenerateSerial(graph, roots)).ok());
+          staging.Save(key, RRGuidance::Generate(graph, roots)).ok());
       keys.push_back(key);
       SetAge(staging.EntryPath(key), 300.0 - 100.0 * r);
     }
@@ -232,7 +232,7 @@ TEST(GuidanceStoreGcTest, LoadRefreshesRecency) {
     std::vector<VertexId> roots = {r};
     GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
     ASSERT_TRUE(
-        store.Save(key, RRGuidance::GenerateSerial(graph, roots)).ok());
+        store.Save(key, RRGuidance::Generate(graph, roots)).ok());
     keys.push_back(key);
     SetAge(store.EntryPath(key), 1000);
   }
@@ -277,7 +277,7 @@ TEST(GuidanceStoreGcTest, StatsAccumulateAcrossSweeps) {
     std::vector<VertexId> roots = {0};
     GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
     ASSERT_TRUE(
-        store.Save(key, RRGuidance::GenerateSerial(graph, roots)).ok());
+        store.Save(key, RRGuidance::Generate(graph, roots)).ok());
     SetAge(store.EntryPath(key), 100);
     store.Sweep();
     EXPECT_EQ(store.stats().sweeps, static_cast<uint64_t>(round));
@@ -315,7 +315,7 @@ TEST(GuidanceStoreGcTest, TenantBudgetsEvictOnlyThatTenant) {
                   double age) -> GuidanceKey {
     std::vector<VertexId> roots = {root};
     GuidanceKey key = GuidanceCache::MakeKey(g.fingerprint(), roots);
-    EXPECT_TRUE(store.Save(key, RRGuidance::GenerateSerial(g, roots)).ok());
+    EXPECT_TRUE(store.Save(key, RRGuidance::Generate(g, roots)).ok());
     SetAge(store.EntryPath(key), age);
     return key;
   };
@@ -357,7 +357,7 @@ TEST(GuidanceStoreGcTest, TenantByteBudgetAndRuntimeSetters) {
     std::vector<VertexId> roots = {r};
     GuidanceKey key = GuidanceCache::MakeKey(g.fingerprint(), roots);
     ASSERT_TRUE(
-        store.Save(key, RRGuidance::GenerateSerial(g, roots)).ok());
+        store.Save(key, RRGuidance::Generate(g, roots)).ok());
     SetAge(store.EntryPath(key), 400 - 100 * r);  // r=3 newest
     keys.push_back(key);
   }
@@ -393,7 +393,7 @@ TEST(GuidanceStoreGcTest, PinnedGraphSurvivesEveryPhase) {
   auto save = [&](const Graph& g, VertexId root, double age) -> GuidanceKey {
     std::vector<VertexId> roots = {root};
     GuidanceKey key = GuidanceCache::MakeKey(g.fingerprint(), roots);
-    EXPECT_TRUE(store.Save(key, RRGuidance::GenerateSerial(g, roots)).ok());
+    EXPECT_TRUE(store.Save(key, RRGuidance::Generate(g, roots)).ok());
     SetAge(store.EntryPath(key), age);
     return key;
   };
@@ -455,7 +455,7 @@ TEST(GuidanceStoreGcTest, StaleButHotSurvivesBudgetSweep) {
   auto save = [&](const Graph& g, double age) -> GuidanceKey {
     std::vector<VertexId> roots = {0};
     GuidanceKey key = GuidanceCache::MakeKey(g.fingerprint(), roots);
-    EXPECT_TRUE(store.Save(key, RRGuidance::GenerateSerial(g, roots)).ok());
+    EXPECT_TRUE(store.Save(key, RRGuidance::Generate(g, roots)).ok());
     SetAge(store.EntryPath(key), age);
     return key;
   };
@@ -483,10 +483,10 @@ TEST(GuidanceStoreGcTest, EqualHotnessFallsBackToMtimeLru) {
   ASSERT_TRUE(store.RemoveAll().ok());
 
   GuidanceKey ka = GuidanceCache::MakeKey(a.fingerprint(), {0});
-  ASSERT_TRUE(store.Save(ka, RRGuidance::GenerateSerial(a, {0})).ok());
+  ASSERT_TRUE(store.Save(ka, RRGuidance::Generate(a, {0})).ok());
   SetAge(store.EntryPath(ka), 500);
   GuidanceKey kb = GuidanceCache::MakeKey(b.fingerprint(), {0});
-  ASSERT_TRUE(store.Save(kb, RRGuidance::GenerateSerial(b, {0})).ok());
+  ASSERT_TRUE(store.Save(kb, RRGuidance::Generate(b, {0})).ok());
   SetAge(store.EntryPath(kb), 100);
 
   store.Sweep();
@@ -512,7 +512,7 @@ TEST(GuidanceStoreGcTest, PinBeatsColdnessAndTtlIgnoresHotness) {
 
   auto save = [&](const Graph& g, double age) -> GuidanceKey {
     GuidanceKey key = GuidanceCache::MakeKey(g.fingerprint(), {0});
-    EXPECT_TRUE(store.Save(key, RRGuidance::GenerateSerial(g, {0})).ok());
+    EXPECT_TRUE(store.Save(key, RRGuidance::Generate(g, {0})).ok());
     SetAge(store.EntryPath(key), age);
     return key;
   };
@@ -545,7 +545,7 @@ TEST(GuidanceStoreGcTest, EqualMtimeEvictionIsDeterministicByName) {
   std::vector<std::string> names;
   for (VertexId r = 0; r < 3; ++r) {
     GuidanceKey key = GuidanceCache::MakeKey(graph.fingerprint(), {r});
-    ASSERT_TRUE(store.Save(key, RRGuidance::GenerateSerial(graph, {r})).ok());
+    ASSERT_TRUE(store.Save(key, RRGuidance::Generate(graph, {r})).ok());
     SetAge(store.EntryPath(key), 100);  // identical mtime for all three
     keys.push_back(key);
     names.push_back(store.EntryPath(key));
@@ -572,8 +572,8 @@ TEST(GuidanceStoreGcConcurrencyTest, HammerTwoGraphsWhileSweeping) {
   opt.num_edges = 1200;
   opt.seed = 21;
   Graph graph_b = Graph::FromEdges(GenerateRmat(opt));
-  RRGuidance ref_a = RRGuidance::GenerateSerial(graph_a, {0});
-  RRGuidance ref_b = RRGuidance::GenerateSerial(graph_b, {0});
+  RRGuidance ref_a = RRGuidance::Generate(graph_a, {0});
+  RRGuidance ref_b = RRGuidance::Generate(graph_b, {0});
 
   auto matches = [](const RRGuidance& ref, const RRGuidance& got) {
     if (ref.num_vertices() != got.num_vertices()) return false;
@@ -628,7 +628,6 @@ TEST(GuidanceStoreGcConcurrencyTest, HammerTwoGraphsWhileSweeping) {
   }
   GuidanceProviderOptions opts;
   opts.cache_capacity = 8;
-  opts.generation_threads = 2;
   opts.store_dir = dir;
   opts.store_gc.max_entries = 64;
   GuidanceProvider gentle(opts);
@@ -656,7 +655,6 @@ TEST(GuidanceStoreGcConcurrencyTest, HammerTwoGraphsWhileSweeping) {
   // result, and the lookup identity must still hold.
   GuidanceProviderOptions tight;
   tight.cache_capacity = 1;
-  tight.generation_threads = 2;
   tight.store_dir = dir;
   tight.store_gc.max_entries = 1;
   GuidanceProvider aggressive(tight);

@@ -52,7 +52,7 @@ struct StoreFixture {
     EXPECT_TRUE(store.RemoveAll().ok());
     roots = {0};
     key = GuidanceCache::MakeKey(graph.fingerprint(), roots);
-    guidance = RRGuidance::GenerateSerial(graph, roots);
+    guidance = RRGuidance::Generate(graph, roots);
   }
 
   Graph graph;
@@ -208,7 +208,7 @@ TEST(GuidanceStoreTest, RemoveGraphDropsOnlyThatGraphsEntries) {
   StoreFixture fx("slfe_gs_removegraph");
   Graph other = Graph::FromEdges(GenerateStar(6));
   GuidanceKey other_key = GuidanceCache::MakeKey(other.fingerprint(), {0});
-  RRGuidance other_guidance = RRGuidance::GenerateSerial(other, {0});
+  RRGuidance other_guidance = RRGuidance::Generate(other, {0});
 
   ASSERT_TRUE(fx.store.Save(fx.key, fx.guidance).ok());
   ASSERT_TRUE(fx.store.Save(other_key, other_guidance).ok());
@@ -287,7 +287,7 @@ TEST(GuidanceStoreTest, DeepGuidanceFallsBackToRawCodec) {
   Graph deep = Graph::FromEdges(GenerateChain(300));
   std::vector<VertexId> roots = {0};
   GuidanceKey key = GuidanceCache::MakeKey(deep.fingerprint(), roots);
-  RRGuidance guidance = RRGuidance::GenerateSerial(deep, roots);
+  RRGuidance guidance = RRGuidance::Generate(deep, roots);
   ASSERT_GT(guidance.depth(), 255u) << "fixture must exceed the u8 range";
   ASSERT_TRUE(fx.store.Save(key, guidance).ok());
   std::vector<unsigned char> bytes = ReadFile(fx.store.EntryPath(key));
@@ -335,7 +335,7 @@ TEST(GuidanceStoreTest, UnreachableLevelsSurviveThePackedSentinel) {
   e.set_num_vertices(10);  // 5..9 unreachable from 0
   Graph g = Graph::FromEdges(e);
   GuidanceKey key = GuidanceCache::MakeKey(g.fingerprint(), {0});
-  RRGuidance guidance = RRGuidance::GenerateSerial(g, {0});
+  RRGuidance guidance = RRGuidance::Generate(g, {0});
   ASSERT_TRUE(fx.store.Save(key, guidance).ok());
   Result<RRGuidance> loaded = fx.store.Load(key);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

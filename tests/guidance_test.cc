@@ -1,13 +1,14 @@
 // Tests for the RR guidance preprocessing (paper Algorithm 1) and root
 // selection: lastIter must equal 1 + the maximum BFS level among a
-// vertex's in-neighbors, the sweep must be O(E)-cheap, and the guidance
-// must be reusable.
+// vertex's in-neighbors (the oracle in guidance_check.h), the sweep must
+// be O(E)-cheap, and the guidance must be reusable.
 
 #include <gtest/gtest.h>
 
-#include <queue>
+#include <set>
 #include <vector>
 
+#include "guidance_check.h"
 #include "slfe/apps/reference.h"
 #include "slfe/core/roots.h"
 #include "slfe/core/rr_guidance.h"
@@ -16,57 +17,14 @@
 namespace slfe {
 namespace {
 
-// Multi-source BFS levels (reference for the guidance invariant).
-std::vector<uint32_t> MultiSourceBfs(const Graph& g,
-                                     const std::vector<VertexId>& roots) {
-  std::vector<uint32_t> level(g.num_vertices(), UINT32_MAX);
-  std::queue<VertexId> q;
-  for (VertexId r : roots) {
-    if (level[r] == UINT32_MAX) {
-      level[r] = 0;
-      q.push(r);
-    }
-  }
-  while (!q.empty()) {
-    VertexId v = q.front();
-    q.pop();
-    g.out().ForEachNeighbor(v, [&](VertexId u, Weight) {
-      if (level[u] == UINT32_MAX) {
-        level[u] = level[v] + 1;
-        q.push(u);
-      }
-    });
-  }
-  return level;
-}
-
-void CheckGuidanceInvariant(const Graph& g,
-                            const std::vector<VertexId>& roots) {
-  RRGuidance rrg = RRGuidance::Generate(g, roots);
-  std::vector<uint32_t> level = MultiSourceBfs(g, roots);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    // visited == reachable from the root set.
-    bool reachable = level[v] != UINT32_MAX;
-    EXPECT_EQ(rrg.visited(v), reachable) << "v=" << v;
-
-    // lastIter(v) == 1 + max BFS level over reachable in-neighbors
-    // (0 when no in-neighbor is reachable).
-    uint32_t want = 0;
-    g.in().ForEachNeighbor(v, [&](VertexId u, Weight) {
-      if (level[u] != UINT32_MAX) want = std::max(want, level[u] + 1);
-    });
-    EXPECT_EQ(rrg.last_iter(v), want) << "v=" << v;
-  }
-}
-
 TEST(RRGuidanceTest, MatchesBfsInvariantOnChain) {
   Graph g = Graph::FromEdges(GenerateChain(20));
-  CheckGuidanceInvariant(g, {0});
+  CheckGuidance(g, {0}, "chain");
 }
 
 TEST(RRGuidanceTest, MatchesBfsInvariantOnGrid) {
   Graph g = Graph::FromEdges(GenerateGrid(8, 9));
-  CheckGuidanceInvariant(g, {0});
+  CheckGuidance(g, {0}, "grid");
 }
 
 TEST(RRGuidanceTest, MatchesBfsInvariantOnRmat) {
@@ -74,7 +32,7 @@ TEST(RRGuidanceTest, MatchesBfsInvariantOnRmat) {
   opt.num_vertices = 512;
   opt.num_edges = 3000;
   Graph g = Graph::FromEdges(GenerateRmat(opt));
-  CheckGuidanceInvariant(g, {0});
+  CheckGuidance(g, {0}, "rmat");
 }
 
 TEST(RRGuidanceTest, MultiRootInvariant) {
@@ -83,7 +41,7 @@ TEST(RRGuidanceTest, MultiRootInvariant) {
   opt.num_edges = 1200;
   opt.seed = 5;
   Graph g = Graph::FromEdges(GenerateRmat(opt));
-  CheckGuidanceInvariant(g, {0, 17, 99});
+  CheckGuidance(g, {0, 17, 99}, "rmat multi-root");
 }
 
 TEST(RRGuidanceTest, ChainHasMaximalDepth) {

@@ -174,40 +174,20 @@ INSTANTIATE_TEST_SUITE_P(
     ParamName);
 
 // ---------------------------------------------------------------------------
-// Guidance generation cross: every guidance-using app, run guided vs
-// unguided, across (engine shape x generation threads) on the same seeded
-// random topologies. One generation thread runs the serial sweep, four run
-// the partitioned sweep. Min/max apps must agree exactly; arithmetic apps
-// within the tolerances their finish-early freezing is specified to keep
-// (the same bars apps_equivalence_test holds the defaults to). Because both
-// sweeps produce bit-identical guidance, any thread-count-dependent result
-// difference here is an engine-integration bug, not a sweep bug.
+// Guidance cross: every guidance-using app, run guided vs unguided across
+// engine shapes on the same seeded random topologies. Min/max apps must
+// agree exactly; arithmetic apps within the tolerances their finish-early
+// freezing is specified to keep (the same bars apps_equivalence_test holds
+// the defaults to).
 // ---------------------------------------------------------------------------
 
-/// (topology seed) x (generation threads): the engine shapes are crossed
-/// inside the test body, one cluster size per app class.
-struct CrossParam {
-  SweepParam topology;
-  size_t generation_threads;
-};
-
-std::string CrossParamName(
-    const ::testing::TestParamInfo<CrossParam>& info) {
-  ::testing::TestParamInfo<SweepParam> inner(info.param.topology, 0);
-  return ParamName(inner) + "_threads" +
-         std::to_string(info.param.generation_threads);
-}
-
 class GuidanceStrategyCrossTest
-    : public ::testing::TestWithParam<CrossParam> {
+    : public ::testing::TestWithParam<SweepParam> {
  protected:
-  /// A private provider pinned to the thread count under test, so the run
-  /// cannot hit guidance generated by another sweep (or another test)
-  /// through the global provider.
+  /// A private provider per run, so the run cannot hit guidance generated
+  /// by another run (or another test) through the global provider.
   AppConfig GuidedConfig(int num_nodes) {
-    GuidanceProviderOptions opt;
-    opt.generation_threads = GetParam().generation_threads;
-    provider_ = std::make_unique<GuidanceProvider>(opt);
+    provider_ = std::make_unique<GuidanceProvider>();
     AppConfig cfg;
     cfg.num_nodes = num_nodes;
     cfg.enable_rr = true;
@@ -226,8 +206,8 @@ class GuidanceStrategyCrossTest
 };
 
 TEST_P(GuidanceStrategyCrossTest, MinMaxAppsExactAcrossEngines) {
-  Graph g = MakeGraph(GetParam().topology, /*symmetric=*/false);
-  Graph gsym = MakeGraph(GetParam().topology, /*symmetric=*/true);
+  Graph g = MakeGraph(GetParam(), /*symmetric=*/false);
+  Graph gsym = MakeGraph(GetParam(), /*symmetric=*/true);
   for (int nodes : {1, 3}) {
     SCOPED_TRACE("nodes=" + std::to_string(nodes));
     {  // SSSP
@@ -270,7 +250,7 @@ TEST_P(GuidanceStrategyCrossTest, MinMaxAppsExactAcrossEngines) {
 }
 
 TEST_P(GuidanceStrategyCrossTest, ArithmeticAppsWithinToleranceAcrossEngines) {
-  Graph g = MakeGraph(GetParam().topology, /*symmetric=*/false);
+  Graph g = MakeGraph(GetParam(), /*symmetric=*/false);
   VertexId n = g.num_vertices();
   std::vector<float> ones(n, 1.0f);
   std::vector<float> hotspots(n, 0.0f);
@@ -322,21 +302,12 @@ TEST_P(GuidanceStrategyCrossTest, ArithmeticAppsWithinToleranceAcrossEngines) {
   }
 }
 
-std::vector<CrossParam> CrossParams() {
-  std::vector<CrossParam> params;
-  for (SweepParam topology :
-       {SweepParam{Family::kRmat, 1}, SweepParam{Family::kRmat, 2},
-        SweepParam{Family::kErdosRenyi, 1}, SweepParam{Family::kGrid, 1}}) {
-    for (size_t threads : {1u, 4u}) {
-      params.push_back(CrossParam{topology, threads});
-    }
-  }
-  return params;
-}
-
 INSTANTIATE_TEST_SUITE_P(StrategyCross, GuidanceStrategyCrossTest,
-                         ::testing::ValuesIn(CrossParams()),
-                         CrossParamName);
+                         ::testing::Values(SweepParam{Family::kRmat, 1},
+                                           SweepParam{Family::kRmat, 2},
+                                           SweepParam{Family::kErdosRenyi, 1},
+                                           SweepParam{Family::kGrid, 1}),
+                         ParamName);
 
 }  // namespace
 }  // namespace slfe
