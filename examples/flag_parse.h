@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -51,12 +50,14 @@ bool ParseUnsigned(const char* flag, const std::string& value, uint64_t lo,
   return true;
 }
 
-/// Seconds/milliseconds flags: a whole, finite, non-negative decimal.
+/// Seconds/milliseconds flags: a finite, non-negative decimal and nothing
+/// else (no sign, no blanks, no suffix).
 inline bool ParseNonNegative(const char* flag, const std::string& value,
                              double* out) {
-  char* end = nullptr;
-  double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || *end != '\0' || !std::isfinite(v) || v < 0) {
+  double v = 0;
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0) {
     std::fprintf(stderr, "bad %s value '%s' (want a number >= 0)\n", flag,
                  value.c_str());
     return false;

@@ -6,10 +6,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "slfe/api/app_registry.h"
 #include "slfe/common/status.h"
 #include "slfe/core/guidance_provider.h"
+#include "slfe/engine/dist_graph.h"
 #include "slfe/graph/arena.h"
 #include "slfe/graph/delta.h"
 #include "slfe/graph/graph.h"
@@ -103,7 +105,7 @@ class Session {
   Status AddGraph(const std::string& name, Graph graph, GraphTraits traits);
 
   /// Warm-restart registration: maps the arena at `path` (read-only mmap,
-  /// no parse, no re-partition) and registers its graph under `name` with
+  /// no parse) and registers its graph under `name` with
   /// the traits recorded in the arena header. The mapping is co-owned by
   /// the served Graph, so the arena file's pages stay valid for as long
   /// as any run references the graph. Counted in graphs_mapped().
@@ -127,6 +129,10 @@ class Session {
   /// mapped > 0, parsed == 0.
   uint64_t graphs_parsed() const { return graphs_parsed_.load(); }
   uint64_t graphs_mapped() const { return graphs_mapped_.load(); }
+  /// Dist-engine partitions built: one per graph object a dist run has
+  /// executed on (a registered graph, its symmetrized closure, each
+  /// mutated version), however many jobs ran on it.
+  uint64_t partitions_built() const { return partitions_built_.load(); }
 
   bool HasGraph(const std::string& name) const;
   /// nullptr when unknown.
@@ -228,8 +234,42 @@ class Session {
   std::shared_ptr<const Graph> ResolveChecked(const std::string& name,
                                               const AppDescriptor& app);
 
+  /// One graph object's memoized partition. The graph is held weakly, so
+  /// the memo never extends a version's lifetime; `once` makes concurrent
+  /// first runs wait on a single build.
+  struct PartitionMemo {
+    std::weak_ptr<const Graph> graph;
+    std::once_flag once;
+    /// Written once, under partitions_mu_, by the build.
+    std::shared_ptr<const DistGraph> dist_graph;
+    /// For a mutated version: the previous version's partition and the
+    /// vertices whose out-edges the delta touched (DistGraph::BuildFrom).
+    /// Dropped by the build.
+    std::shared_ptr<const DistGraph> previous;
+    std::vector<VertexId> changed;
+  };
+
+  /// Under partitions_mu_: the memo for `graph`, created (after pruning
+  /// expired entries) when absent; `*created` says which.
+  std::shared_ptr<PartitionMemo> MemoFor(
+      const std::shared_ptr<const Graph>& graph, bool* created);
+
+  /// The options_.num_nodes partition of `graph`, built on its first dist
+  /// run (outside partitions_mu_; derived from the predecessor's when
+  /// InheritPartition left one; counted in partitions_built_; recorded
+  /// as a `partition` span on `trace`) and shared by every later one.
+  std::shared_ptr<const DistGraph> PartitionOf(
+      const std::shared_ptr<const Graph>& graph, obs::JobTrace* trace);
+
+  /// Lets `fresh`, made from `base` by `delta`, derive its partition from
+  /// base's when base has one.
+  void InheritPartition(const std::shared_ptr<const Graph>& base,
+                        const std::shared_ptr<const Graph>& fresh,
+                        const GraphDelta& delta);
+
   /// Shared execution tail of Run/RunOn: scratch-dir setup for on-disk
-  /// engines, AppConfig assembly, dispatch to the registry runner.
+  /// engines, the memoized partition for dist runs, AppConfig assembly,
+  /// dispatch to the registry runner.
   AppOutcome RunWith(const AppRequest& request, const AppDescriptor& app,
                      Engine engine, std::shared_ptr<const Graph> graph,
                      obs::JobTrace* trace = nullptr);
@@ -240,9 +280,15 @@ class Session {
   mutable std::mutex graphs_mu_;
   std::map<std::string, GraphEntry> graphs_;
 
+  /// Keyed by graph identity; expired entries are pruned on insert.
+  std::mutex partitions_mu_;
+  std::unordered_map<const Graph*, std::shared_ptr<PartitionMemo>>
+      partitions_;
+
   std::atomic<uint64_t> graphs_parsed_{0};
   std::atomic<uint64_t> graphs_mapped_{0};
   std::atomic<uint64_t> graphs_mutated_{0};
+  std::atomic<uint64_t> partitions_built_{0};
 };
 
 }  // namespace slfe::api

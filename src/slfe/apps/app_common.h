@@ -2,9 +2,11 @@
 #define SLFE_APPS_APP_COMMON_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "slfe/common/logging.h"
 #include "slfe/core/guidance_provider.h"
 #include "slfe/core/rr_guidance.h"
 #include "slfe/core/rr_runners.h"
@@ -43,6 +45,11 @@ struct AppConfig {
   /// Optional per-job span trace (guidance_acquire.* spans are recorded
   /// against it). Null = tracing disabled; must outlive the run.
   obs::JobTrace* trace = nullptr;
+  /// Partition of the run's graph into num_nodes ranks, built once per
+  /// graph object and shared by every run on it (api::Session memoizes
+  /// one per served graph version). Null = the run partitions locally.
+  /// Non-owning: the caller keeps it alive for the run.
+  const DistGraph* dist_graph = nullptr;
 };
 
 /// Common result bundle: engine statistics plus preprocessing cost.
@@ -110,18 +117,34 @@ inline void RecordGuidance(const GuidanceAcquisition& acquisition,
   info->guidance_repaired = acquisition.repaired;
 }
 
+/// The partition a run executes on: `config.dist_graph` when the caller
+/// supplied one (checked to be this graph's, cut for config.num_nodes),
+/// else a fresh DistGraph::Build stored in `*local`.
+inline const DistGraph& PartitionFor(const Graph& graph,
+                                     const AppConfig& config,
+                                     std::optional<DistGraph>* local) {
+  if (config.dist_graph == nullptr) {
+    return local->emplace(DistGraph::Build(graph, config.num_nodes));
+  }
+  SLFE_CHECK(&config.dist_graph->graph() == &graph)
+      << "AppConfig::dist_graph partitions a different graph";
+  SLFE_CHECK_EQ(config.dist_graph->num_nodes(), config.num_nodes);
+  return *config.dist_graph;
+}
+
 namespace app_internal {
 
-/// The cluster plumbing both run helpers share: partitions the graph,
-/// acquires guidance per `policy`, builds a DistEngine<V> with a Runner
-/// over it, and runs `run(runner, ctx)` on every rank of a fresh simulated
-/// cluster. `record(result, &info)` copies rank 0's runner result.
+/// The cluster plumbing both run helpers share: takes the graph's
+/// partition (PartitionFor), acquires guidance per `policy`, builds a
+/// DistEngine<V> with a Runner over it, and runs `run(runner, ctx)` on
+/// every rank of a fresh simulated cluster. `record(result, &info)` copies rank 0's runner result.
 template <typename V, typename Runner, typename RunFn, typename RecordFn>
 AppRunInfo RunOnCluster(const Graph& graph, const AppConfig& config,
                         GuidanceRootPolicy policy, const RunFn& run,
                         const RecordFn& record) {
   AppRunInfo info;
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
+  std::optional<DistGraph> local;
+  const DistGraph& dg = PartitionFor(graph, config, &local);
   GuidanceAcquisition guidance = AcquireGuidance(graph, config, policy);
   RecordGuidance(guidance, &info);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <tuple>
 
 #include "slfe/api/app_registry.h"
@@ -53,7 +54,8 @@ MstResult RunMst(const Graph& graph, const AppConfig& config) {
   VertexId n = graph.num_vertices();
   if (n == 0) return result;
 
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
+  std::optional<DistGraph> local;
+  const DistGraph& dg = PartitionFor(graph, config, &local);
   std::vector<VertexId> parent(n);
   std::iota(parent.begin(), parent.end(), 0u);
 

@@ -1,6 +1,7 @@
 #include "slfe/apps/triangle_count.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "slfe/api/app_registry.h"
@@ -76,7 +77,8 @@ TriangleCountResult RunTriangleCount(const Graph& graph,
   TriangleCountResult result;
   Timer timer;
   auto oriented = BuildOrientedAdjacency(graph);
-  DistGraph dg = DistGraph::Build(graph, config.num_nodes);
+  std::optional<DistGraph> local;
+  const DistGraph& dg = PartitionFor(graph, config, &local);
 
   std::vector<uint64_t> node_counts(config.num_nodes, 0);
   std::vector<uint64_t> node_work(config.num_nodes, 0);

@@ -83,6 +83,8 @@ struct EngineStats {
   uint64_t iterations = 0;
   double pull_seconds = 0;
   double push_seconds = 0;
+  /// vertexUpdate phases (ProcessVertices), through their reduction.
+  double vertex_seconds = 0;
   double comm_seconds = 0;  ///< simulated network time (BSP max per step)
   uint64_t computations = 0;
   uint64_t updates = 0;
@@ -98,7 +100,7 @@ struct EngineStats {
   /// Wall compute time plus simulated communication time — the quantity
   /// reported as "runtime" in the distributed benchmarks.
   double RuntimeSeconds() const {
-    return pull_seconds + push_seconds + comm_seconds;
+    return pull_seconds + push_seconds + vertex_seconds + comm_seconds;
   }
   /// (max - min) / max of per-node computation counts (Fig. 10b y-axis).
   /// Work-based rather than wall-clock: simulated ranks timeshare the
@@ -321,10 +323,12 @@ class DistEngine {
   /// Collective, one barrier: applies fn to every master vertex and returns
   /// the all-reduced sum of its return values (e.g., rank delta in
   /// PageRank). The result type T needs `+=` and a zero default value; a
-  /// small struct lets one reduction carry several sums.
+  /// small struct lets one reduction carry several sums. Rank 0 adds the
+  /// phase's wall time, reduction included, to stats_.vertex_seconds.
   template <typename Fn>
   auto ProcessVertices(sim::NodeContext& ctx, const Fn& fn) {
     using T = std::invoke_result_t<const Fn&, VertexId>;
+    Timer phase_timer;
     const VertexRange& r = dg_.range(ctx.rank);
     std::vector<T> partial(ctx.pool->num_threads(), T{});
     scheduler_.Run(*ctx.pool, r.begin, r.end,
@@ -340,6 +344,7 @@ class DistEngine {
     T total{};
     ctx.world->Exchange(ctx.rank, local,
                         [&total](int, const T& t) { total += t; });
+    if (ctx.rank == 0) stats_.vertex_seconds += phase_timer.Seconds();
     return total;
   }
 

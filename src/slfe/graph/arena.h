@@ -112,7 +112,7 @@ struct ArenaOpenOptions {
 /// side uses the GuidanceStore discipline (versioned header, FNV-1a
 /// checksums, unique temp + atomic rename); the read side is open + map +
 /// validate, so a daemon restart costs page-table setup instead of a text
-/// parse, re-partition, and re-fingerprint. The mapping is MAP_SHARED over
+/// parse and re-fingerprint. The mapping is MAP_SHARED over
 /// PROT_READ, so N server processes serving one arena file share one
 /// physical copy in the page cache, and a graph larger than RAM
 /// demand-pages instead of OOMing.

@@ -11,7 +11,7 @@ namespace {
 /// Registers `name` as a dataset alias on first use, so a job file can
 /// reference the paper suite without a registration preamble. With an
 /// arena_dir configured, a previously saved `<name>.s<scale>.sga` arena
-/// is mapped instead of regenerating + re-partitioning the dataset (the
+/// is mapped instead of regenerating the dataset (the
 /// scale divisor is part of the file name, so a restart with a different
 /// --scale can never serve stale topology), and a fresh generation is
 /// written back for the next start. Arena failures — missing file,

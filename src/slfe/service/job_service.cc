@@ -523,6 +523,7 @@ JobServiceStats JobService::Stats() const {
   snapshot.cache = provider.cache_stats();
   snapshot.graphs_parsed = session_->graphs_parsed();
   snapshot.graphs_mapped = session_->graphs_mapped();
+  snapshot.partitions_built = session_->partitions_built();
   snapshot.uptime_seconds = SecondsSince(started_at_);
   snapshot.pid = static_cast<int>(::getpid());
   snapshot.version = BuildVersionString();

@@ -217,6 +217,9 @@ struct JobServiceStats {
   /// arena_dir shows mapped == graph count, parsed == 0.
   uint64_t graphs_parsed = 0;
   uint64_t graphs_mapped = 0;
+  /// Dist-engine partitions the session built: one per graph version run
+  /// on, not one per job (Session::partitions_built).
+  uint64_t partitions_built = 0;
   /// Connection-level accounting (all zero when no TCP front end drives
   /// the service).
   NetFrontEndStats net;

@@ -275,7 +275,8 @@ std::string FormatStats(const JobServiceStats& stats) {
   Appendf(&out,
           "service: submitted=%llu completed=%llu failed=%llu "
           "rejected=%llu mutations=%llu sweeps=%llu gc_removed=%llu "
-          "pinned_spared=%llu graphs_parsed=%llu graphs_mapped=%llu\n",
+          "pinned_spared=%llu graphs_parsed=%llu graphs_mapped=%llu "
+          "partitions_built=%llu\n",
           static_cast<unsigned long long>(stats.submitted),
           static_cast<unsigned long long>(stats.completed),
           static_cast<unsigned long long>(stats.failed),
@@ -285,7 +286,8 @@ std::string FormatStats(const JobServiceStats& stats) {
           static_cast<unsigned long long>(stats.sweep_removed),
           static_cast<unsigned long long>(stats.sweep_pinned_spared),
           static_cast<unsigned long long>(stats.graphs_parsed),
-          static_cast<unsigned long long>(stats.graphs_mapped));
+          static_cast<unsigned long long>(stats.graphs_mapped),
+          static_cast<unsigned long long>(stats.partitions_built));
   Appendf(&out,
           "net: accepted=%llu closed=%llu dropped=%llu auth_failures=%llu "
           "streamed=%llu\n",

@@ -7,7 +7,8 @@
 // versions, per-version fingerprint uniqueness, old-version views that
 // stay valid and unchanged after the name moves on, no-op deltas that
 // leave the version untouched, and concurrent mutations serializing
-// without losing a delta.
+// without losing a delta. Part 3: the session's per-version partition
+// memo — one DistGraph build per graph object, however many dist runs.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <random>
 
 #include "slfe/api/session.h"
+#include "slfe/engine/dist_graph.h"
 #include "slfe/graph/delta.h"
 #include "slfe/graph/generators.h"
 #include "slfe/graph/graph.h"
@@ -191,6 +193,64 @@ TEST_P(GraphDeltaTest, MatchesRebuiltReferenceAcrossChainedBatches) {
       // to an earlier version's exact topology, and equal topology means
       // equal fingerprint by design.)
       EXPECT_NE(next.value().fingerprint(), cur.fingerprint()) << label;
+    }
+    cur = std::move(next).value();
+  }
+}
+
+void ExpectSamePartition(const DistGraph& want, const DistGraph& got,
+                         const std::string& label) {
+  ASSERT_EQ(&want.graph(), &got.graph()) << label;
+  ASSERT_EQ(want.num_nodes(), got.num_nodes()) << label;
+  for (int p = 0; p < want.num_nodes(); ++p) {
+    EXPECT_EQ(want.range(p).begin, got.range(p).begin) << label;
+    EXPECT_EQ(want.range(p).end, got.range(p).end) << label;
+    EXPECT_EQ(want.NodeOutEdges(p), got.NodeOutEdges(p)) << label;
+    EXPECT_EQ(want.NodeInEdges(p), got.NodeInEdges(p)) << label;
+  }
+  for (VertexId v = 0; v < want.graph().num_vertices(); ++v) {
+    ASSERT_EQ(want.MirrorNodeCount(v), got.MirrorNodeCount(v))
+        << label << " mirror count at v=" << v;
+  }
+}
+
+/// Sources of the delta's edges: the vertices whose out-edges it touches.
+std::vector<VertexId> ChangedSources(const GraphDelta& delta) {
+  std::vector<VertexId> changed;
+  for (const Edge& e : delta.insert) changed.push_back(e.src);
+  for (const auto& [src, dst] : delta.erase) changed.push_back(src);
+  return changed;
+}
+
+// DistGraph::BuildFrom against a from-scratch Build of each version in a
+// chain: random batches (which may move the cut points or grow the vertex
+// set), each followed by a degree-preserving rewire (which keeps the cut,
+// so only the rewired vertex's mirror count is recounted), on 1, 2, 3 and
+// 80 nodes (the last past the 64-node mask).
+TEST_P(GraphDeltaTest, PartitionFromPredecessorMatchesBuild) {
+  Graph cur = MakeShapeGraph(GetParam());
+  std::mt19937_64 rng(GetParam().seed * 0x9e3779b97f4a7c15ull + 5);
+  for (int step = 0; step < 8; ++step) {
+    GraphDelta delta = RandomDelta(cur, rng);
+    if (step % 2 == 1) {
+      delta = GraphDelta{};
+      VertexId u = static_cast<VertexId>(rng() % cur.num_vertices());
+      while (cur.out_degree(u) == 0) u = (u + 1) % cur.num_vertices();
+      delta.erase.emplace_back(u, cur.out().neighbor(cur.out().begin(u)));
+      delta.insert.push_back(Edge{u, static_cast<VertexId>(
+                                         rng() % cur.num_vertices()), 1.0f});
+    }
+    Result<Graph> next = ApplyDelta(cur, delta);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    for (int nodes : {1, 2, 3, 80}) {
+      std::string label =
+          ParamName(::testing::TestParamInfo<HarnessParam>(GetParam(), 0)) +
+          " step " + std::to_string(step) + " nodes " + std::to_string(nodes);
+      DistGraph previous = DistGraph::Build(cur, nodes);
+      ExpectSamePartition(
+          DistGraph::Build(next.value(), nodes),
+          DistGraph::BuildFrom(next.value(), previous, ChangedSources(delta)),
+          label);
     }
     cur = std::move(next).value();
   }
@@ -434,6 +494,211 @@ TEST(SessionVersionTest, ConcurrentMutationsSerializeWithoutLosingDeltas) {
             static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(session.GraphVersions("g").back().version,
             static_cast<uint64_t>(1 + kThreads * kPerThread));
+}
+
+// ------------------------------------------ Session partition memo
+
+// A weighted R-MAT graph with a reachable root, served on two ranks so
+// the partition is non-trivial.
+Graph PartitionTestGraph() {
+  RmatOptions opt;
+  opt.num_vertices = 256;
+  opt.num_edges = 2000;
+  opt.weighted = true;
+  opt.seed = 5;
+  return Graph::FromEdges(GenerateRmat(opt));
+}
+
+api::SessionOptions TwoRanks() {
+  api::SessionOptions options;
+  options.num_nodes = 2;
+  return options;
+}
+
+api::AppRequest Request(const std::string& app) {
+  api::AppRequest request;
+  request.app = app;
+  request.graph = "g";
+  return request;
+}
+
+size_t PartitionSpans(const obs::JobTrace& trace) {
+  size_t spans = 0;
+  for (const obs::TraceSpan& span : trace.Snapshot()) {
+    if (span.name == "partition") ++spans;
+  }
+  return spans;
+}
+
+TEST(SessionPartitionTest, RepeatedRunsOnOneGraphBuildOnce) {
+  api::Session session(TwoRanks());
+  ASSERT_TRUE(session.AddGraph("g", PartitionTestGraph()).ok());
+  EXPECT_EQ(session.partitions_built(), 0u);
+
+  obs::JobTrace first_trace;
+  std::shared_ptr<const Graph> graph = session.GetGraph("g");
+  api::AppOutcome first =
+      session.RunOn(Request("sssp"), graph, &first_trace);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_EQ(session.partitions_built(), 1u);
+  EXPECT_EQ(PartitionSpans(first_trace), 1u);
+
+  obs::JobTrace second_trace;
+  api::AppOutcome second =
+      session.RunOn(Request("sssp"), graph, &second_trace);
+  ASSERT_TRUE(second.status.ok());
+  EXPECT_EQ(PartitionSpans(second_trace), 0u);  // served from the memo
+  EXPECT_EQ(second.values, first.values);
+  for (const char* app : {"bfs", "pr", "tc", "sssp"}) {
+    ASSERT_TRUE(session.Run(Request(app)).status.ok()) << app;
+  }
+  EXPECT_EQ(session.partitions_built(), 1u);
+
+  // Engines without a simulated cluster never partition.
+  api::AppRequest shm = Request("sssp");
+  shm.engine = "shm";
+  ASSERT_TRUE(session.Run(shm).status.ok());
+  EXPECT_EQ(session.partitions_built(), 1u);
+}
+
+TEST(SessionPartitionTest, ClosureAndEachMutatedVersionBuildTheirOwn) {
+  api::Session session(TwoRanks());
+  ASSERT_TRUE(session.AddGraph("g", PartitionTestGraph()).ok());
+  ASSERT_TRUE(session.Run(Request("sssp")).status.ok());
+  EXPECT_EQ(session.partitions_built(), 1u);
+  // cc runs on the lazily built symmetrized closure: a second graph.
+  ASSERT_TRUE(session.Run(Request("cc")).status.ok());
+  ASSERT_TRUE(session.Run(Request("cc")).status.ok());
+  EXPECT_EQ(session.partitions_built(), 2u);
+
+  for (uint64_t step = 1; step <= 2; ++step) {
+    GraphDelta delta;
+    // Edges into fresh vertices: never duplicates, so never a no-op.
+    delta.insert.push_back(Edge{0, static_cast<VertexId>(255 + step), 3.0f});
+    auto mutated = session.MutateGraph("g", delta);
+    ASSERT_TRUE(mutated.ok() && mutated.value().changed);
+    ASSERT_TRUE(session.Run(Request("sssp")).status.ok());
+    ASSERT_TRUE(session.Run(Request("sssp")).status.ok());
+    ASSERT_TRUE(session.Run(Request("cc")).status.ok());
+    // The new version and its new closure: two builds per mutation.
+    EXPECT_EQ(session.partitions_built(), 2u + 2u * step);
+  }
+}
+
+TEST(SessionPartitionTest, PinnedSupersededVersionMatchesFreshSession) {
+  api::Session session(TwoRanks());
+  ASSERT_TRUE(session.AddGraph("g", PartitionTestGraph()).ok());
+  api::AppRequest sssp = Request("sssp");
+  Result<std::shared_ptr<const Graph>> pinned = session.ResolveGraph(sssp);
+  ASSERT_TRUE(pinned.ok());
+  ASSERT_TRUE(session.RunOn(sssp, pinned.value()).status.ok());
+
+  // A new vertex, so every per-vertex answer on v2 differs from v1's.
+  GraphDelta delta;
+  delta.insert.push_back(Edge{0, 256, 0.5f});
+  ASSERT_TRUE(session.MutateGraph("g", delta).ok());
+  api::AppOutcome current = session.Run(sssp);
+  ASSERT_TRUE(current.status.ok());
+
+  // Interleave runs on both versions: each must use its own partition.
+  for (const char* app : {"sssp", "pr"}) {
+    api::Session fresh(TwoRanks());
+    ASSERT_TRUE(fresh.AddGraph("g", PartitionTestGraph()).ok());
+    api::AppOutcome want = fresh.Run(Request(app));
+    api::AppOutcome got = session.RunOn(Request(app), pinned.value());
+    ASSERT_TRUE(want.status.ok() && got.status.ok()) << app;
+    EXPECT_EQ(got.values, want.values) << app;
+    EXPECT_EQ(got.summary, want.summary) << app;
+    ASSERT_TRUE(session.Run(Request(app)).status.ok()) << app;
+  }
+  EXPECT_EQ(current.values.size(), pinned.value()->num_vertices() + 1);
+  EXPECT_EQ(session.partitions_built(), 2u);
+}
+
+TEST(SessionPartitionTest, MutatedVersionDerivesTheSamePartition) {
+  api::Session session(TwoRanks());
+  ASSERT_TRUE(session.AddGraph("g", PartitionTestGraph()).ok());
+  std::shared_ptr<const Graph> v1 = session.GetGraph("g");
+  ASSERT_TRUE(session.Run(Request("sssp")).status.ok());
+
+  // Move the one out-edge of degree-1 vertices to the other rank's range:
+  // degrees (so the cut points) stay put and v2 derives its partition
+  // from v1's, while each moved vertex's mirror count flips between 0
+  // and 1.
+  DistGraph cut = DistGraph::Build(*v1, 2);
+  GraphDelta delta;
+  for (VertexId v = 0; v < v1->num_vertices(); ++v) {
+    if (v1->out_degree(v) != 1) continue;
+    VertexId old_dst = v1->out().neighbor(v1->out().begin(v));
+    const VertexRange& other = cut.range(1 - cut.OwnerOf(old_dst));
+    VertexId new_dst = other.begin + v % other.size();
+    if (new_dst == v) continue;
+    delta.erase.emplace_back(v, old_dst);
+    delta.insert.push_back(Edge{v, new_dst, 2.0f});
+  }
+  ASSERT_GE(delta.insert.size(), 4u);
+  Result<Graph> expected = ApplyDelta(*v1, delta);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(session.MutateGraph("g", delta).value().changed);
+
+  api::Session fresh(TwoRanks());
+  ASSERT_TRUE(fresh.AddGraph("g", std::move(expected).value()).ok());
+  // pr's counters are deterministic at any shape; messages are charged
+  // from the partition's mirror counts.
+  api::AppOutcome want = fresh.Run(Request("pr"));
+  api::AppOutcome got = session.Run(Request("pr"));
+  ASSERT_TRUE(want.status.ok() && got.status.ok());
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.info.stats.messages, want.info.stats.messages);
+  EXPECT_EQ(got.info.stats.bytes, want.info.stats.bytes);
+  EXPECT_EQ(got.info.stats.computations, want.info.stats.computations);
+  EXPECT_EQ(got.info.stats.iterations, want.info.stats.iterations);
+  EXPECT_EQ(session.partitions_built(), 2u);
+}
+
+TEST(SessionPartitionTest, MemoDoesNotExtendSupersededLifetime) {
+  api::Session session(TwoRanks());
+  ASSERT_TRUE(session.AddGraph("g", PartitionTestGraph()).ok());
+  std::weak_ptr<const Graph> v1;
+  {
+    std::shared_ptr<const Graph> pinned = session.GetGraph("g");
+    v1 = pinned;
+    GraphDelta delta;
+    delta.insert.push_back(Edge{1, 300, 1.0f});  // 300 is a new vertex
+    ASSERT_TRUE(session.MutateGraph("g", delta).value().changed);
+    ASSERT_TRUE(session.RunOn(Request("sssp"), pinned).status.ok());
+    EXPECT_EQ(session.partitions_built(), 1u);
+  }
+  // The provider's repair lineage still holds v1; push it out of the
+  // bounded lineage FIFO with more mutations than it keeps.
+  for (VertexId v = 2; v < 40; ++v) {
+    GraphDelta delta;
+    delta.insert.push_back(Edge{v, 300, 1.0f});
+    ASSERT_TRUE(session.MutateGraph("g", delta).value().changed);
+  }
+  EXPECT_TRUE(v1.expired()) << "the partition memo kept v1 alive";
+  EXPECT_FALSE(session.GraphVersions("g").front().alive);
+  // A run on the current version still builds (and prunes v1's entry).
+  ASSERT_TRUE(session.Run(Request("sssp")).status.ok());
+  EXPECT_EQ(session.partitions_built(), 2u);
+}
+
+TEST(SessionPartitionTest, ConcurrentFirstRunsShareOneBuild) {
+  constexpr int kThreads = 4;
+  api::Session session(TwoRanks());
+  ASSERT_TRUE(session.AddGraph("g", PartitionTestGraph()).ok());
+  std::vector<api::AppOutcome> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(
+        [&, t] { outcomes[t] = session.Run(Request("sssp")); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(session.partitions_built(), 1u);
+  for (const api::AppOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_EQ(outcome.values, outcomes[0].values);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
