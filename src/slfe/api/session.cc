@@ -192,7 +192,6 @@ Result<GraphMutationResult> Session::MutateGraph(const std::string& name,
       entry.history.push_back({entry.version, result.new_fingerprint, fresh});
       result.version = entry.version;
     }
-    InheritPartition(base, fresh, *delta_ptr);
     provider_.RecordMutation(std::move(base), *fresh, std::move(delta_ptr));
     ++graphs_mutated_;
     result.changed = true;
@@ -353,67 +352,33 @@ AppOutcome Session::RunOn(const AppRequest& request,
   return RunWith(request, *app, engine.value(), std::move(graph), trace);
 }
 
-std::shared_ptr<Session::PartitionMemo> Session::MemoFor(
-    const std::shared_ptr<const Graph>& graph, bool* created) {
-  auto it = partitions_.find(graph.get());
-  // The identity check keeps a dead version's entry from matching a new
-  // graph allocated at the same address.
-  *created = it == partitions_.end() || it->second->graph.lock() != graph;
-  if (!*created) return it->second;
-  std::erase_if(partitions_, [](const auto& slot) {
-    return slot.second->graph.expired();
-  });
-  auto memo = std::make_shared<PartitionMemo>();
-  memo->graph = graph;
-  partitions_[graph.get()] = memo;
-  return memo;
-}
-
 std::shared_ptr<const DistGraph> Session::PartitionOf(
     const std::shared_ptr<const Graph>& graph, obs::JobTrace* trace) {
   std::shared_ptr<PartitionMemo> memo;
   {
     std::lock_guard<std::mutex> lock(partitions_mu_);
-    bool created = false;
-    memo = MemoFor(graph, &created);
+    auto it = partitions_.find(graph.get());
+    // The identity check keeps a dead version's entry from matching a new
+    // graph allocated at the same address.
+    if (it != partitions_.end() && it->second->graph.lock() == graph) {
+      memo = it->second;
+    } else {
+      std::erase_if(partitions_, [](const auto& entry) {
+        return entry.second->graph.expired();
+      });
+      memo = std::make_shared<PartitionMemo>();
+      memo->graph = graph;
+      partitions_[graph.get()] = memo;
+    }
   }
   std::call_once(memo->once, [&] {
     double start = trace != nullptr ? trace->Now() : 0.0;
-    auto built = std::make_shared<const DistGraph>(
-        memo->previous != nullptr
-            ? DistGraph::BuildFrom(*graph, *memo->previous, memo->changed)
-            : DistGraph::Build(*graph, options_.num_nodes));
-    {
-      std::lock_guard<std::mutex> lock(partitions_mu_);
-      memo->dist_graph = std::move(built);
-      memo->previous.reset();
-      memo->changed = {};
-    }
+    memo->dist_graph = std::make_shared<const DistGraph>(
+        DistGraph::Build(*graph, options_.num_nodes));
     ++partitions_built_;
     if (trace != nullptr) trace->AddSpanSince("partition", start);
   });
   return memo->dist_graph;
-}
-
-void Session::InheritPartition(const std::shared_ptr<const Graph>& base,
-                               const std::shared_ptr<const Graph>& fresh,
-                               const GraphDelta& delta) {
-  std::vector<VertexId> changed;
-  changed.reserve(delta.size());
-  for (const Edge& edge : delta.insert) changed.push_back(edge.src);
-  for (const auto& [src, dst] : delta.erase) changed.push_back(src);
-  std::lock_guard<std::mutex> lock(partitions_mu_);
-  auto it = partitions_.find(base.get());
-  if (it == partitions_.end() || it->second->graph.lock() != base ||
-      it->second->dist_graph == nullptr) {
-    return;  // base never ran on the dist engine: fresh builds outright
-  }
-  std::shared_ptr<const DistGraph> previous = it->second->dist_graph;
-  bool created = false;
-  std::shared_ptr<PartitionMemo> memo = MemoFor(fresh, &created);
-  if (!created) return;  // a run on fresh got here first
-  memo->previous = std::move(previous);
-  memo->changed = std::move(changed);
 }
 
 AppOutcome Session::RunWith(const AppRequest& request, const AppDescriptor& app,

@@ -240,32 +240,16 @@ class Session {
   struct PartitionMemo {
     std::weak_ptr<const Graph> graph;
     std::once_flag once;
-    /// Written once, under partitions_mu_, by the build.
+    /// Written once, by the build; call_once orders it before every
+    /// later read.
     std::shared_ptr<const DistGraph> dist_graph;
-    /// For a mutated version: the previous version's partition and the
-    /// vertices whose out-edges the delta touched (DistGraph::BuildFrom).
-    /// Dropped by the build.
-    std::shared_ptr<const DistGraph> previous;
-    std::vector<VertexId> changed;
   };
 
-  /// Under partitions_mu_: the memo for `graph`, created (after pruning
-  /// expired entries) when absent; `*created` says which.
-  std::shared_ptr<PartitionMemo> MemoFor(
-      const std::shared_ptr<const Graph>& graph, bool* created);
-
   /// The options_.num_nodes partition of `graph`, built on its first dist
-  /// run (outside partitions_mu_; derived from the predecessor's when
-  /// InheritPartition left one; counted in partitions_built_; recorded
+  /// run (outside partitions_mu_; counted in partitions_built_; recorded
   /// as a `partition` span on `trace`) and shared by every later one.
   std::shared_ptr<const DistGraph> PartitionOf(
       const std::shared_ptr<const Graph>& graph, obs::JobTrace* trace);
-
-  /// Lets `fresh`, made from `base` by `delta`, derive its partition from
-  /// base's when base has one.
-  void InheritPartition(const std::shared_ptr<const Graph>& base,
-                        const std::shared_ptr<const Graph>& fresh,
-                        const GraphDelta& delta);
 
   /// Shared execution tail of Run/RunOn: scratch-dir setup for on-disk
   /// engines, the memoized partition for dist runs, AppConfig assembly,

@@ -1,7 +1,6 @@
 #include "slfe/engine/dist_graph.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "slfe/common/logging.h"
 
@@ -24,91 +23,51 @@ DistGraph DistGraph::BuildWithRanges(const Graph& graph,
   SLFE_CHECK_GE(ranges.size(), 1u);
   SLFE_CHECK(ChunkPartitioner::ValidatePartition(ranges, graph.num_vertices())
                  .ok());
+  int num_nodes = static_cast<int>(ranges.size());
   DistGraph dg;
   dg.graph_ = &graph;
   dg.ranges_ = std::move(ranges);
-  dg.mirror_count_.assign(graph.num_vertices(), 0);
-  dg.Index(nullptr);
-  return dg;
-}
 
-DistGraph DistGraph::BuildFrom(const Graph& graph, const DistGraph& previous,
-                               const std::vector<VertexId>& changed) {
-  std::vector<VertexRange> ranges =
-      BuildRanges(graph, previous.num_nodes());
-  bool same_cut = graph.num_vertices() == previous.mirror_count_.size();
-  for (size_t p = 0; same_cut && p < ranges.size(); ++p) {
-    same_cut = ranges[p].begin == previous.ranges_[p].begin &&
-               ranges[p].end == previous.ranges_[p].end;
-  }
-  if (!same_cut) return BuildWithRanges(graph, std::move(ranges));
-  DistGraph dg;
-  dg.graph_ = &graph;
-  dg.ranges_ = std::move(ranges);
-  dg.mirror_count_ = previous.mirror_count_;
-  dg.Index(&changed);
-  return dg;
-}
-
-void DistGraph::Index(const std::vector<VertexId>* only) {
-  const Graph& graph = *graph_;
-  int num_nodes = this->num_nodes();
   VertexId n = graph.num_vertices();
+  dg.mirror_count_.assign(n, 0);
+  dg.node_out_edges_.assign(num_nodes, 0);
+  dg.node_in_edges_.assign(num_nodes, 0);
 
   // Owner of every vertex, so the per-edge lookup below is one load
   // instead of a binary search over the ranges.
   SLFE_CHECK_LE(num_nodes, 65536);
   std::vector<uint16_t> owner_of(n);
   for (int p = 0; p < num_nodes; ++p) {
-    const VertexRange& r = ranges_[p];
+    const VertexRange& r = dg.ranges_[p];
     std::fill(owner_of.begin() + r.begin, owner_of.begin() + r.end,
               static_cast<uint16_t>(p));
   }
 
   // Mirror index: for each master v, count distinct non-owner nodes that
-  // own at least one out-neighbor. Out-neighbors are not sorted by owner:
-  // up to 64 nodes, OR them into a mask (no branch per edge); beyond, mark
-  // nodes in a stamp array, one fresh stamp per count.
-  std::vector<uint32_t> stamp(num_nodes > 64 ? num_nodes : 0, 0);
-  uint32_t counts = 0;
-  auto count_mirrors = [&](VertexId v) {
+  // own at least one out-neighbor. Out-neighbors are not sorted by owner,
+  // so mark nodes in a small stamp array (num_nodes <= 255).
+  std::vector<uint32_t> stamp(num_nodes, UINT32_MAX);
+  for (VertexId v = 0; v < n; ++v) {
     int owner = owner_of[v];
     int mirrors = 0;
-    ++counts;
-    if (num_nodes <= 64) {
-      uint64_t nodes = 0;
-      graph.out().ForEachNeighbor(v, [&](VertexId u, Weight) {
-        nodes |= uint64_t{1} << owner_of[u];
-      });
-      mirrors = std::popcount(nodes & ~(uint64_t{1} << owner));
-    } else {
-      graph.out().ForEachNeighbor(v, [&](VertexId u, Weight) {
-        int uo = owner_of[u];
-        if (uo != owner && stamp[uo] != counts) {
-          stamp[uo] = counts;
-          ++mirrors;
-        }
-      });
-    }
-    mirror_count_[v] = static_cast<uint8_t>(mirrors);
-  };
-  if (only == nullptr) {
-    for (VertexId v = 0; v < n; ++v) count_mirrors(v);
-  } else {
-    for (VertexId v : *only) {
-      if (v < n) count_mirrors(v);
-    }
+    graph.out().ForEachNeighbor(v, [&](VertexId u, Weight) {
+      int uo = owner_of[u];
+      if (uo != owner && stamp[uo] != v) {
+        stamp[uo] = v;
+        ++mirrors;
+      }
+    });
+    dg.mirror_count_[v] = static_cast<uint8_t>(mirrors);
   }
 
-  node_out_edges_.assign(num_nodes, 0);
-  node_in_edges_.assign(num_nodes, 0);
   for (int p = 0; p < num_nodes; ++p) {
-    const VertexRange& r = ranges_[p];
+    const VertexRange& r = dg.ranges_[p];
     for (VertexId v = r.begin; v < r.end; ++v) {
-      node_out_edges_[p] += graph.out_degree(v);
-      node_in_edges_[p] += graph.in_degree(v);
+      dg.node_out_edges_[p] += graph.out_degree(v);
+      dg.node_in_edges_[p] += graph.in_degree(v);
     }
   }
+  return dg;
 }
 
 }  // namespace slfe

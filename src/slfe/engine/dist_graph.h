@@ -31,15 +31,6 @@ class DistGraph {
   static DistGraph BuildWithRanges(const Graph& graph,
                                    std::vector<VertexRange> ranges);
 
-  /// Build for `graph`, an edit of `previous.graph()` in which only the
-  /// vertices in `changed` gained or lost out-edges: the same DistGraph
-  /// Build(graph, previous.num_nodes()) returns, but when the cut points
-  /// come out unchanged only the changed vertices' mirror counts are
-  /// recounted — O(|V| + their out-edges) instead of O(|E|). Reads
-  /// nothing of previous.graph(), which may already be gone.
-  static DistGraph BuildFrom(const Graph& graph, const DistGraph& previous,
-                             const std::vector<VertexId>& changed);
-
   /// Just the ownership ranges Build would produce — exported so other
   /// range-partitioned work (ShmEngine's per-thread slices, the arena's
   /// persisted partition) slices vertices exactly the way the distributed
@@ -69,10 +60,6 @@ class DistGraph {
   EdgeId NodeInEdges(int node) const { return node_in_edges_[node]; }
 
  private:
-  /// Fills the mirror counts (of every vertex, or of `*only`) and the
-  /// per-node edge totals from graph_ and ranges_.
-  void Index(const std::vector<VertexId>* only);
-
   const Graph* graph_ = nullptr;
   std::vector<VertexRange> ranges_;
   std::vector<uint8_t> mirror_count_;  // capped at num_nodes-1 <= 255

@@ -82,6 +82,24 @@ TEST(DistGraphTest, MirrorCountBounds) {
   }
 }
 
+TEST(DistGraphTest, MirrorCountsMatchOwnerLookup) {
+  // Against a direct count through OwnerOf, including a cluster larger
+  // than 64 nodes.
+  Graph g = Graph::FromEdges(GenerateErdosRenyi(400, 4000, 6));
+  for (int nodes : {2, 3, 80}) {
+    DistGraph dg = DistGraph::Build(g, nodes);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      std::vector<bool> holds(nodes, false);
+      g.out().ForEachNeighbor(
+          v, [&](VertexId u, Weight) { holds[dg.OwnerOf(u)] = true; });
+      holds[dg.OwnerOf(v)] = false;
+      auto want = std::count(holds.begin(), holds.end(), true);
+      ASSERT_EQ(dg.MirrorNodeCount(v), want)
+          << "nodes " << nodes << " v " << v;
+    }
+  }
+}
+
 TEST(DistGraphTest, ChainMirrorsOnlyAtBoundaries) {
   // In a chain partitioned into contiguous ranges, only the last vertex of
   // each range has a remote successor.
