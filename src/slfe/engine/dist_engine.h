@@ -470,32 +470,54 @@ class DistEngine {
     std::vector<ThreadCounters> tc(nthreads);
     const bool track_dirty = TracksDirty();
 
+    // kGatherActive compacts each block of in-edges before gathering it:
+    // every edge index is stored and the cursor advances by the source's
+    // active bit. With 30-90% of sources active a branch on that bit
+    // mispredicts often enough to cost more than the gather itself.
+    constexpr EdgeId kBlock = 64;
     auto chunks = scheduler_.Run(
         *ctx.pool, r.begin, r.end, [&](size_t worker, size_t lo, size_t hi) {
-          ThreadCounters& c = tc[worker];
+          uint64_t comp = 0, upd = 0, skip = 0;
+          EdgeId block[kBlock] = {};
           for (size_t dv = lo; dv < hi; ++dv) {
             VertexId dst = static_cast<VertexId>(dv);
             PullAction action = pull_filter(dst);
             if (action == PullAction::kSkip) {
-              c.skip += in.degree(dst);
+              skip += in.degree(dst);
               continue;
             }
-            bool all = action == PullAction::kGatherAll;
             V acc = identity;
-            bool any = false;
-            for (EdgeId e = in.begin(dst); e < in.end(dst); ++e) {
-              VertexId src = in.neighbor(e);
-              if (!all && !cur.TestBit(src)) continue;
-              acc = gather(acc, src, in.weight(e));
-              ++c.comp;
-              any = true;
+            uint64_t gathered = 0;
+            if (action == PullAction::kGatherAll) {
+              for (EdgeId e = in.begin(dst); e < in.end(dst); ++e) {
+                acc = gather(acc, in.neighbor(e), in.weight(e));
+              }
+              gathered = in.degree(dst);
+            } else {
+              for (EdgeId b = in.begin(dst); b < in.end(dst); b += kBlock) {
+                EdgeId end = std::min(b + kBlock, in.end(dst));
+                size_t k = 0;
+                for (EdgeId e = b; e < end; ++e) {
+                  block[k] = e;
+                  k += cur.TestBit(in.neighbor(e));
+                }
+                for (size_t i = 0; i < k; ++i) {
+                  acc = gather(acc, in.neighbor(block[i]), in.weight(block[i]));
+                }
+                gathered += k;
+              }
             }
-            if (any && apply(dst, acc)) {
+            comp += gathered;
+            if (gathered > 0 && apply(dst, acc)) {
               next.SetBit(dst);
               if (track_dirty) MarkDirty(dst);
-              ++c.upd;
+              ++upd;
             }
           }
+          ThreadCounters& c = tc[worker];
+          c.comp += comp;
+          c.upd += upd;
+          c.skip += skip;
         });
     std::vector<uint64_t>& rank_chunks = ranks_[ctx.rank].chunks;
     for (size_t w = 0; w < nthreads; ++w) {

@@ -8,9 +8,12 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <string>
 #include <type_traits>
 #include <vector>
 
+#include "slfe/common/random.h"
 #include "slfe/core/rr_runners.h"
 #include "slfe/engine/atomic_ops.h"
 #include "slfe/engine/dist_engine.h"
@@ -550,6 +553,121 @@ TEST(DistEngineTest, PerIterationTraceMatchesTotals) {
   EXPECT_EQ(trace_total, stats.computations);
   EXPECT_EQ(stats.per_iter_computations.size(), stats.iterations);
   EXPECT_EQ(stats.per_iter_mode.size(), stats.iterations);
+}
+
+// One forced pull superstep over a star whose hub (vertex 0) has in-edges
+// from every other vertex. Records what the engine hands the callables.
+struct StarPull {
+  std::vector<VertexId> gathered;  ///< sources, in the order gathered
+  std::vector<float> applied;      ///< accumulators applied to the hub
+  EngineStats stats;
+};
+
+StarPull RunStarPull(const Graph& g, int nodes,
+                     const std::vector<VertexId>& active,
+                     const std::vector<float>& value, PullAction hub_action) {
+  EngineHarness<float> h(g, nodes, 1);
+  std::vector<float> dist = value;
+  StarPull out;
+  const Mode pull = Mode::kPull;
+  h.cluster.Run([&](sim::NodeContext& ctx) {
+    h.engine.BeginRun(ctx);
+    h.engine.ActivateSeeds(ctx, active);
+    h.engine.PromoteActiveSet(ctx);
+    h.engine.ProcessEdges(
+        ctx, std::numeric_limits<float>::infinity(),
+        [&](float acc, VertexId src, Weight) {
+          out.gathered.push_back(src);  // only the hub's owner gathers
+          return std::min(acc, dist[src]);
+        },
+        [&](VertexId dst, float acc) {
+          EXPECT_EQ(dst, 0u);
+          out.applied.push_back(acc);
+          if (acc >= dist[dst]) return false;
+          dist[dst] = acc;
+          return true;
+        },
+        kNoScatter,
+        [hub_action](VertexId v) {
+          return v == 0 ? hub_action : PullAction::kGatherActive;
+        },
+        &pull);
+    const EngineStats& stats = h.engine.FinishRun(ctx);
+    if (ctx.rank == 0) out.stats = stats;
+  });
+  return out;
+}
+
+TEST(DistEngineTest, PullGatherCompactsActiveInEdges) {
+  // In-degrees around the 64-edge compaction block: empty, one edge, one
+  // block short, exactly one block, one past it, and several blocks.
+  for (VertexId degree : {0u, 1u, 63u, 64u, 65u, 200u}) {
+    EdgeList e(degree + 2);  // one isolated vertex keeps 2 ranks non-empty
+    Random rng(degree + 17);
+    std::vector<VertexId> sources(degree);
+    std::iota(sources.begin(), sources.end(), 1u);
+    for (VertexId i = degree; i > 1; --i) {
+      std::swap(sources[i - 1], sources[rng.Uniform(i)]);
+    }
+    for (VertexId s : sources) e.Add(s, 0);
+    Graph g = Graph::FromEdges(e);
+    std::vector<float> value(g.num_vertices());
+    value[0] = std::numeric_limits<float>::infinity();
+    std::vector<VertexId> mixed;
+    for (VertexId v = 1; v < g.num_vertices(); ++v) {
+      value[v] = static_cast<float>(1 + rng.Uniform(1000));
+      if (rng.Bernoulli(0.5)) mixed.push_back(v);
+    }
+    // A seeded mix, every source, and none.
+    const std::vector<std::vector<VertexId>> active_sets = {mixed, sources,
+                                                            {}};
+
+    for (int nodes : {1, 2}) {
+      for (const std::vector<VertexId>& active : active_sets) {
+        SCOPED_TRACE("degree=" + std::to_string(degree) + " nodes=" +
+                     std::to_string(nodes) +
+                     " active=" + std::to_string(active.size()));
+        // The active in-edges in ascending edge order, and their minimum.
+        std::vector<VertexId> want;
+        float want_min = std::numeric_limits<float>::infinity();
+        const Csr& in = g.in();
+        for (EdgeId i = in.begin(0); i < in.end(0); ++i) {
+          VertexId src = in.neighbor(i);
+          if (std::find(active.begin(), active.end(), src) == active.end()) {
+            continue;
+          }
+          want.push_back(src);
+          want_min = std::min(want_min, value[src]);
+        }
+
+        StarPull run =
+            RunStarPull(g, nodes, active, value, PullAction::kGatherActive);
+        EXPECT_EQ(run.stats.computations, want.size());
+        EXPECT_EQ(run.stats.skipped, 0u);
+        EXPECT_EQ(run.gathered, want);
+        if (want.empty()) {
+          EXPECT_TRUE(run.applied.empty());  // nothing to apply
+        } else {
+          EXPECT_EQ(run.applied, std::vector<float>{want_min});
+          EXPECT_EQ(run.stats.updates, 1u);
+        }
+
+        // A skipped hub still books its whole in-degree as skipped.
+        StarPull skip = RunStarPull(g, nodes, active, value, PullAction::kSkip);
+        EXPECT_EQ(skip.stats.skipped, degree);
+        EXPECT_EQ(skip.stats.computations, 0u);
+        EXPECT_TRUE(skip.applied.empty());
+      }
+
+      // kGatherAll ignores the active set and keeps the edge order.
+      StarPull all = RunStarPull(g, nodes, {}, value, PullAction::kGatherAll);
+      std::vector<VertexId> in_order(g.in().neighbors().begin(),
+                                     g.in().neighbors().end());
+      EXPECT_EQ(all.stats.computations, degree);
+      EXPECT_EQ(all.gathered, in_order);
+      EXPECT_EQ(all.applied.size(), degree > 0 ? 1u : 0u);
+    }
+  }
 }
 
 // Wraps a callable so that it can only be moved. std::function requires

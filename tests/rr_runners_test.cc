@@ -8,9 +8,15 @@
 
 #include <limits>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "slfe/apps/bfs.h"
+#include "slfe/apps/cc.h"
 #include "slfe/apps/reference.h"
+#include "slfe/apps/sssp.h"
+#include "slfe/apps/wp.h"
 #include "slfe/core/roots.h"
 #include "slfe/core/rr_runners.h"
 #include "slfe/engine/atomic_ops.h"
@@ -157,6 +163,92 @@ TEST(MinMaxRunnerTest, EmptyGuidanceStillConverges) {
   auto ref = ReferenceSssp(g, 0);
   for (size_t v = 0; v < ref.size(); ++v) {
     EXPECT_FLOAT_EQ(run.dist[v], ref[v]) << "v=" << v;
+  }
+}
+
+// ------------------------------------------------- pinned work counters
+
+// Work counters of the four min/max apps at one node and one thread, where
+// they are a pure function of (graph, app, rr): no other rank or thread
+// races the pull gathers or the push AtomicMins. A kernel change that
+// skips, repeats or reorders an edge evaluation moves one of them.
+struct PinnedCounters {
+  const char* app;
+  bool rr;
+  uint64_t computations;
+  uint64_t updates;
+  uint64_t skipped;
+  uint64_t iterations;
+  std::vector<uint64_t> per_iter_computations;
+};
+
+std::string Format(const PinnedCounters& c) {
+  std::ostringstream os;
+  os << "{\"" << c.app << "\", " << (c.rr ? "true" : "false") << ", "
+     << c.computations << ", " << c.updates << ", " << c.skipped << ", "
+     << c.iterations << ", {";
+  for (size_t i = 0; i < c.per_iter_computations.size(); ++i) {
+    os << (i > 0 ? ", " : "") << c.per_iter_computations[i];
+  }
+  os << "}}";
+  return os.str();
+}
+
+PinnedCounters Measure(const Graph& g, const char* app, bool rr) {
+  AppConfig cfg;
+  cfg.num_nodes = 1;
+  cfg.threads_per_node = 1;
+  cfg.enable_rr = rr;
+  cfg.use_guidance_cache = false;
+  const std::string name = app;
+  AppRunInfo info;
+  if (name == "sssp") {
+    info = RunSssp(g, cfg).info;
+  } else if (name == "bfs") {
+    info = RunBfs(g, cfg).info;
+  } else if (name == "wp") {
+    info = RunWp(g, cfg).info;
+  } else {
+    info = RunCc(g, cfg).info;
+  }
+  const EngineStats& s = info.stats;
+  return {app,          rr,           s.computations, s.updates,
+          s.skipped,    s.iterations, s.per_iter_computations};
+}
+
+TEST(PinnedCountersTest, MinMaxAppsAtOneNodeDoTheRecordedWork) {
+  RmatOptions opt;
+  opt.num_vertices = 1024;
+  opt.num_edges = 8000;
+  opt.weighted = true;
+  opt.seed = 51;
+  EdgeList e = GenerateRmat(opt);
+  e.Symmetrize();  // cc needs it; the single-source apps run on it too
+  e.Deduplicate();
+  Graph g = Graph::FromEdges(e);
+
+  // Recorded before the pull kernel compacted its active in-edges.
+  const std::vector<PinnedCounters> want = {
+      {"sssp", false, 19798, 1190, 0, 5, {368, 9713, 8394, 1284, 39}},
+      {"sssp", true, 21183, 1322, 22370, 8,
+       {368, 1785, 10052, 7032, 1825, 116, 5, 0}},
+      {"bfs", false, 11972, 796, 0, 4, {368, 9713, 1872, 19}},
+      {"bfs", true, 13428, 796, 22370, 7, {368, 1785, 9982, 1067, 207, 19, 0}},
+      {"wp", false, 38772, 1830, 0, 11,
+       {368, 9713, 11046, 8400, 5471, 2448, 764, 161, 243, 157, 1}},
+      {"wp", true, 39973, 1953, 22370, 13,
+       {368, 1785, 10034, 9620, 8722, 5598, 2528, 756, 161, 243, 157, 1, 0}},
+      {"cc", false, 23579, 797, 0, 3, {11974, 11567, 38}},
+      {"cc", true, 23986, 797, 23948, 6, {17, 17, 11957, 11957, 38, 0}},
+  };
+  for (const PinnedCounters& w : want) {
+    PinnedCounters got = Measure(g, w.app, w.rr);
+    EXPECT_EQ(got.computations, w.computations) << Format(got);
+    EXPECT_EQ(got.updates, w.updates) << Format(got);
+    EXPECT_EQ(got.skipped, w.skipped) << Format(got);
+    EXPECT_EQ(got.iterations, w.iterations) << Format(got);
+    EXPECT_EQ(got.per_iter_computations, w.per_iter_computations)
+        << Format(got);
   }
 }
 
