@@ -1,8 +1,8 @@
-// Component microbenchmarks (google-benchmark): CSR construction, chunk
-// partitioning, RR guidance generation, bitmap throughput, generator
-// throughput, and the engine's pull gather over a partly active frontier
-// (the min/max apps' dense superstep). These bound the per-edge costs
-// every experiment above is built on.
+// Component microbenchmarks (google-benchmark): CSR construction, graph
+// mutation (ApplyDelta), chunk partitioning, RR guidance generation,
+// bitmap throughput, generator throughput, and the engine's pull gather
+// over a partly active frontier (the min/max apps' dense superstep).
+// These bound the per-edge costs every experiment above is built on.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include "slfe/core/rr_guidance.h"
 #include "slfe/engine/dist_engine.h"
 #include "slfe/engine/dist_graph.h"
+#include "slfe/graph/delta.h"
 #include "slfe/graph/generators.h"
 #include "slfe/graph/partitioner.h"
 #include "slfe/sim/cluster.h"
@@ -50,6 +51,38 @@ void BM_CsrBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * e.num_edges());
 }
 BENCHMARK(BM_CsrBuild)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 19);
+
+// One ApplyDelta of a small batch (the daemon's 8-edge mutate) on an RMAT
+// graph of range(0) vertices and 8 edges per vertex: range(1) random
+// insertions and range(2) deletions of live edges. Each
+// iteration applies the same batch to the same base, so it times the
+// full next-version build: the row copy, the touched rows, and
+// Graph::FromEdges. Items are base edges.
+void BM_ApplyDelta(benchmark::State& state) {
+  const VertexId n = static_cast<VertexId>(state.range(0));
+  Graph g = Graph::FromEdges(BenchEdges(static_cast<EdgeId>(n) * 8));
+  Random rng(19);
+  GraphDelta delta;
+  for (int64_t i = 0; i < state.range(1); ++i) {
+    delta.insert.push_back(Edge{static_cast<VertexId>(rng.Uniform(n)),
+                                static_cast<VertexId>(rng.Uniform(n)), 1.0f});
+  }
+  while (delta.erase.size() < static_cast<size_t>(state.range(2))) {
+    VertexId u = static_cast<VertexId>(rng.Uniform(n));
+    if (g.out_degree(u) == 0) continue;
+    delta.erase.emplace_back(u, g.out().neighbor(g.out().begin(u)));
+  }
+  for (auto _ : state) {
+    Result<Graph> next = ApplyDelta(g, delta);
+    benchmark::DoNotOptimize(next.value().num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_ApplyDelta)
+    ->Args({1 << 14, 8, 0})
+    ->Args({1 << 14, 8, 8})
+    ->Args({1 << 17, 8, 0})
+    ->Args({1 << 17, 8, 8});
 
 void BM_ChunkPartition(benchmark::State& state) {
   Graph g = Graph::FromEdges(BenchEdges(1 << 17));

@@ -52,6 +52,12 @@ struct GraphDeltaStats {
 /// from that list with the same stable counting sort Graph::FromEdges
 /// uses. kInvalidArgument when a deletion names a vertex outside the base
 /// graph (insertions may grow the vertex set, deletions cannot).
+///
+/// Cost: one sequential copy of the base rows, plus sorting the batch's
+/// d deletions and k insertions once, plus reading each row the batch
+/// names once (a binary search over that row's own pairs per edge). A
+/// row the batch does not name is never probed; no edge is hashed. Then
+/// Graph::FromEdges, as for any graph.
 Result<Graph> ApplyDelta(const Graph& base, const GraphDelta& delta,
                          GraphDeltaStats* stats = nullptr);
 

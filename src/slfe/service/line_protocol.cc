@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -49,12 +50,15 @@ bool IsDigits(const std::string& t) {
 /// Strict float parse for mutation weights: the whole token must be
 /// consumed (so `1.5x` rejects) but fractional values are of course legal
 /// here — weights are the one place '.' belongs in the mutate grammar.
+/// Negative and non-finite weights reject: one negative cycle would keep
+/// every later sssp on the graph relaxing forever. Zero is legal.
 bool ParseWeight(const std::string& t, float* out) {
   if (t.empty()) return false;
   errno = 0;
   char* end = nullptr;
   float v = std::strtof(t.c_str(), &end);
   if (end != t.c_str() + t.size() || errno == ERANGE) return false;
+  if (!std::isfinite(v) || v < 0.0f) return false;
   *out = v;
   return true;
 }

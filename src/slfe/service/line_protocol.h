@@ -15,6 +15,7 @@ namespace slfe::service {
 ///   auth <tenant> [token]   # first line; binds the connection to tenant
 ///   submit <tenant> <app> <graph> [root] [dist|shm|gas|ooc] [norr]
 ///   mutate <tenant> <graph> [ins <src> <dst> <w>]... [del <src> <dst>]...
+///                 # <w> finite and >= 0
 ///   wait          # barrier: stream every prior result, then `done req=N`
 ///   sweep         # run a maintenance sweep now, print what it did
 ///   stats         # print the service + net + per-tenant counters

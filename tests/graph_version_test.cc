@@ -265,6 +265,146 @@ TEST(GraphDeltaEdgeCases, InsertionsGrowTheVertexSet) {
   EXPECT_EQ(next.value().out_degree(10), 0u);
 }
 
+/// Applies `delta` and checks the result plane by plane against
+/// ReferenceApply; returns the stats for the case's own expectations.
+GraphDeltaStats ExpectMatchesReference(const Graph& base,
+                                       const GraphDelta& delta,
+                                       const std::string& label,
+                                       Graph* applied = nullptr) {
+  GraphDeltaStats stats;
+  Result<Graph> next = ApplyDelta(base, delta, &stats);
+  EXPECT_TRUE(next.ok()) << label << ": " << next.status().ToString();
+  if (!next.ok()) return stats;
+  ExpectSameGraph(ReferenceApply(base, delta), next.value(), label);
+  if (applied != nullptr) *applied = std::move(next).value();
+  return stats;
+}
+
+/// The (dst, weight) pairs of v's out-row, in row order.
+std::vector<std::pair<VertexId, Weight>> OutRow(const Graph& g, VertexId v) {
+  std::vector<std::pair<VertexId, Weight>> row;
+  g.out().ForEachNeighbor(v, [&](VertexId dst, Weight w) {
+    row.emplace_back(dst, w);
+  });
+  return row;
+}
+
+TEST(GraphDeltaEdgeCases, DeleteThenReinsertLandsOnceAfterSurvivors) {
+  EdgeList e(4);
+  e.Add(0, 1, 1.0f);
+  e.Add(0, 2, 2.0f);
+  e.Add(0, 2, 2.5f);  // parallel copy: the delete removes both
+  e.Add(0, 3, 3.0f);
+  Graph g = Graph::FromEdges(e);
+  GraphDelta delta;
+  delta.erase.emplace_back(0, 2);
+  delta.insert.push_back(Edge{0, 2, 7.0f});
+  Graph next;
+  GraphDeltaStats stats =
+      ExpectMatchesReference(g, delta, "delete+reinsert", &next);
+  EXPECT_EQ(stats.edges_deleted, 2u);
+  EXPECT_EQ(stats.edges_inserted, 1u);
+  EXPECT_EQ(stats.duplicate_inserts, 0u);
+  EXPECT_EQ(stats.missing_deletes, 0u);
+  using Row = std::vector<std::pair<VertexId, Weight>>;
+  EXPECT_EQ(OutRow(next, 0), (Row{{1, 1.0f}, {3, 3.0f}, {2, 7.0f}}));
+}
+
+TEST(GraphDeltaEdgeCases, SamePairTwiceInBatchKeepsFirstWeight) {
+  Graph chain = Graph::FromEdges(GenerateChain(4));  // 0->1->2->3
+  GraphDelta delta;
+  delta.insert.push_back(Edge{3, 0, 4.0f});
+  delta.insert.push_back(Edge{2, 0, 1.0f});
+  delta.insert.push_back(Edge{3, 0, 9.0f});  // same pair, later: skipped
+  Graph next;
+  GraphDeltaStats stats =
+      ExpectMatchesReference(chain, delta, "twice in batch", &next);
+  EXPECT_EQ(stats.edges_inserted, 2u);
+  EXPECT_EQ(stats.duplicate_inserts, 1u);
+  using Row = std::vector<std::pair<VertexId, Weight>>;
+  EXPECT_EQ(OutRow(next, 3), (Row{{0, 4.0f}}));
+}
+
+TEST(GraphDeltaEdgeCases, InsertOfParallelCopiedPairIsSkipped) {
+  EdgeList e(3);
+  e.Add(0, 1, 1.0f);
+  e.Add(1, 2, 2.0f);
+  e.Add(1, 2, 3.0f);  // parallel copies of (1,2)
+  e.Add(1, 0, 1.0f);
+  Graph g = Graph::FromEdges(e);
+  GraphDelta delta;
+  delta.insert.push_back(Edge{1, 2, 5.0f});
+  delta.erase.emplace_back(0, 1);  // another row's delete changes nothing
+  Graph next;
+  GraphDeltaStats stats =
+      ExpectMatchesReference(g, delta, "parallel copies", &next);
+  EXPECT_EQ(stats.edges_inserted, 0u);
+  EXPECT_EQ(stats.duplicate_inserts, 1u);
+  EXPECT_EQ(stats.edges_deleted, 1u);
+  using Row = std::vector<std::pair<VertexId, Weight>>;
+  EXPECT_EQ(OutRow(next, 1), (Row{{2, 2.0f}, {2, 3.0f}, {0, 1.0f}}));
+}
+
+TEST(GraphDeltaEdgeCases, GrowthSourceTwiceInBatchLandsOnce) {
+  Graph chain = Graph::FromEdges(GenerateChain(4));
+  GraphDelta delta;
+  delta.insert.push_back(Edge{6, 1, 2.0f});  // source past |V|: no base row
+  delta.insert.push_back(Edge{6, 7, 1.0f});
+  delta.insert.push_back(Edge{6, 1, 5.0f});  // skipped within the batch
+  Graph next;
+  GraphDeltaStats stats =
+      ExpectMatchesReference(chain, delta, "growth source", &next);
+  EXPECT_EQ(stats.edges_inserted, 2u);
+  EXPECT_EQ(stats.duplicate_inserts, 1u);
+  EXPECT_EQ(next.num_vertices(), 8u);
+  using Row = std::vector<std::pair<VertexId, Weight>>;
+  EXPECT_EQ(OutRow(next, 6), (Row{{1, 2.0f}, {7, 1.0f}}));
+}
+
+TEST(GraphDeltaEdgeCases, HubWithManyInsertsSomeCarried) {
+  // Hub 0 carries every even vertex in 2..200 (and 10 twice). The batch
+  // inserts 150 pairs from the hub in a shuffled order: evens (carried
+  // unless deleted), odds (new), repeats, and destinations past |V|.
+  constexpr VertexId kN = 201;
+  EdgeList e(kN);
+  for (VertexId v = 2; v < kN; v += 2) e.Add(0, v, 1.0f);
+  e.Add(0, 10, 2.0f);
+  for (VertexId v = 1; v < kN; ++v) e.Add(v, (v * 7) % kN, 1.0f);
+  Graph g = Graph::FromEdges(e);
+
+  GraphDelta delta;
+  std::mt19937_64 rng(19);
+  for (int i = 0; i < 150; ++i) {
+    VertexId dst = static_cast<VertexId>(1 + rng() % (kN + 20));
+    delta.insert.push_back(Edge{0, dst, static_cast<Weight>(2 + i)});
+  }
+  delta.insert.push_back(Edge{0, 12, 3.0f});  // carried: skipped
+  delta.insert.push_back(Edge{0, 4, 3.0f});   // carried, but deleted below
+  delta.insert.push_back(Edge{0, 10, 3.0f});  // both copies deleted below
+  delta.erase.emplace_back(0, 4);
+  delta.erase.emplace_back(0, 10);
+  delta.erase.emplace_back(0, 10);  // repeated delete: one pair
+  delta.erase.emplace_back(0, 3);   // odd: a miss
+  ASSERT_GT(delta.insert.size(), 64u);
+
+  Graph next;
+  GraphDeltaStats stats = ExpectMatchesReference(g, delta, "hub", &next);
+  size_t carried = 0;
+  std::set<VertexId> seen;
+  for (const Edge& ins : delta.insert) {
+    if (!seen.insert(ins.dst).second) continue;
+    if (ins.dst < kN && ins.dst % 2 == 0 && ins.dst != 4 && ins.dst != 10) {
+      ++carried;
+    }
+  }
+  ASSERT_GT(carried, 0u);
+  EXPECT_EQ(stats.edges_inserted, seen.size() - carried);
+  EXPECT_EQ(stats.duplicate_inserts, delta.insert.size() - seen.size() +
+                                         carried);
+  EXPECT_EQ(stats.edges_deleted, 3u);  // (0,4) once, (0,10) twice
+  EXPECT_EQ(stats.missing_deletes, 1u);
+}
+
 // ------------------------------------------------- Session version chain
 
 TEST(SessionVersionTest, MutationPublishesNewVersionOldViewStaysIntact) {

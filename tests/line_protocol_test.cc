@@ -124,6 +124,21 @@ TEST(ParseCommandLineTest, MutateWeightStaysFractionalButStrict) {
             Kind::kError);
   EXPECT_EQ(ParseCommandLine("mutate acme PK ins 1 2 1e9999\n").kind,
             Kind::kError);
+
+  // Regression: `ins 1 2 -5 ins 2 1 -5` built a negative cycle, and every
+  // later sssp on the graph ran without end. Negative and non-finite
+  // weights reject; zero stays legal.
+  for (const char* w :
+       {"-5", "-0.5", "nan", "inf", "-inf", "NAN", "infinity"}) {
+    ParsedCommand bad =
+        ParseCommandLine(std::string("mutate acme PK ins 1 2 ") + w + "\n");
+    ASSERT_EQ(bad.kind, Kind::kError) << w;
+    EXPECT_NE(bad.error.find("reject: bad mutate weight"), std::string::npos)
+        << w;
+  }
+  ParsedCommand zero = ParseCommandLine("mutate acme PK ins 1 2 0\n");
+  ASSERT_EQ(zero.kind, Kind::kMutate);
+  EXPECT_EQ(zero.mutate.delta.insert[0].weight, 0.0f);
 }
 
 TEST(ParseCommandLineTest, UnrecognizedLineRejectIsAlwaysTerminated) {
